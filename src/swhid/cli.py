@@ -14,6 +14,7 @@ from typing import NoReturn
 
 import click
 
+from . import __version__
 from .errors import (
     IntegrityMismatchError,
     NotFoundError,
@@ -50,7 +51,7 @@ def _fail(code: ExitStatus, message: str) -> NoReturn:
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="swhid")
+@click.version_option(version=__version__)
 def main():
     """Intrinsic, verifiable identifiers for source code artifacts."""
 
@@ -80,7 +81,7 @@ def main():
     "--jobs",
     type=click.IntRange(min=1),
     default=1,
-    help="Hash file contents with this many threads.",
+    help="Accepted for compatibility; files are hashed in one thread.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
 def identify(paths, force_type, excludes, recursive, jobs, as_json):

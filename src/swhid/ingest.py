@@ -1,7 +1,8 @@
 """Filesystem ingestion, the deduplicating object store, and verification.
 
-ingest_path() walks a tree bottom-up, storing one manifest per distinct
-object. Symlinks are never followed: the link target bytes are the content,
+ingest_path() walks a tree once, hashing each file as a stream, and stores
+one manifest per distinct object (a file is kept as its path, not its
+bytes). Symlinks are never followed: the link target bytes are the content,
 exactly as in version control. verify_path() recomputes an id and, given a
 reference store, walks both trees to localize the divergence. Description
 files let callers mint revision/release/snapshot ids for history they
@@ -20,9 +21,8 @@ import re
 import stat
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     MalformedPersonError,
@@ -73,27 +73,56 @@ class ObjectStore:
 
     add() is idempotent: re-adding an object keeps one copy and bumps an
     insertion counter, so callers can observe deduplication. Thread-safe.
+    Regular files reached by ingest_path() are kept as their path, not
+    their bytes: get(), save() and audit() read them again, streaming.
     """
 
     def __init__(self):
-        self._objects: Dict[Tuple[ObjectType, ObjectId], bytes] = {}
+        # A manifest, or (as str) the path of a file holding the content.
+        self._objects: Dict[Tuple[ObjectType, ObjectId], Union[bytes, str]] = {}
         self._insertions: Counter = Counter()
         self._lock = threading.Lock()
 
     def add(self, node: DagNode) -> CoreSwhid:
         """Store a node's manifest, returning its identifier."""
         manifest = manifest_of(node)
-        object_type, object_id = object_id_of(node)
+        object_type = MANIFEST_KIND_TO_TYPE[manifest[: manifest.index(b" ")]]
+        object_id = ObjectId(hashlib.sha1(manifest).digest())
+        return self._insert(object_type, object_id, manifest)
+
+    def _add_file(self, path: str) -> CoreSwhid:
+        digest = hashlib.sha1()
+        for piece in _read_blob(path):
+            digest.update(piece)
+        return self._insert(ObjectType.CONTENT, ObjectId(digest.digest()), path)
+
+    def _insert(self, object_type: ObjectType, object_id: ObjectId, value) -> CoreSwhid:
         key = (object_type, object_id)
         with self._lock:
             self._insertions[key] += 1
-            self._objects.setdefault(key, manifest)
+            self._objects.setdefault(key, value)
         return CoreSwhid(object_type, object_id)
 
-    def get(
-        self, object_type: ObjectType, object_id: ObjectId
-    ) -> Optional[bytes]:
-        return self._objects.get((object_type, object_id))
+    def _pieces(self, object_id: ObjectId, value) -> Iterator[bytes]:
+        # A manifest in pieces. A file is read again and raises StoreError,
+        # after its last piece, if it no longer hashes to its id.
+        if isinstance(value, bytes):
+            yield value
+            return
+        digest = hashlib.sha1()
+        try:
+            for piece in _read_blob(value):
+                digest.update(piece)
+                yield piece
+        except UnreadableError as exc:
+            raise StoreError(f"content {object_id.hex}: {exc}") from exc
+        if digest.digest() != object_id.raw:
+            raise StoreError(f"content {object_id.hex}: {value} changed since ingest")
+
+    def get(self, object_type: ObjectType, object_id: ObjectId) -> Optional[bytes]:
+        """The object's manifest, or None. StoreError if its file changed."""
+        value = self._objects.get((object_type, object_id))
+        return None if value is None else b"".join(self._pieces(object_id, value))
 
     def insertions(
         self, object_type: ObjectType, object_id: ObjectId
@@ -113,19 +142,37 @@ class ObjectStore:
     def audit(self) -> List[CoreSwhid]:
         """Re-hash every manifest; return identifiers that no longer match."""
         bad = []
-        for (object_type, object_id), manifest in self._objects.items():
-            if hashlib.sha1(manifest).digest() != object_id.raw:
+        for (object_type, object_id), value in self._objects.items():
+            digest = hashlib.sha1()
+            try:
+                for piece in self._pieces(object_id, value):
+                    digest.update(piece)
+            except StoreError:
+                pass  # the digest cannot match either
+            if digest.digest() != object_id.raw:
                 bad.append(CoreSwhid(object_type, object_id))
         return bad
 
     def save(self, root: Union[str, Path]) -> None:
-        """Write manifests under root/objects/<2 hex>/<38 hex>."""
+        """Write manifests under root/objects/<2 hex>/<38 hex>.
+
+        A file that no longer hashes to its id raises StoreError. Each
+        object is written under a temporary name and renamed into place,
+        so a failed save leaves any earlier copy of it intact.
+        """
         base = Path(root) / "objects"
-        for (_, object_id), manifest in self._objects.items():
+        for (_, object_id), value in self._objects.items():
             hexid = object_id.hex
             bucket = base / hexid[:2]
             bucket.mkdir(parents=True, exist_ok=True)
-            (bucket / hexid[2:]).write_bytes(manifest)
+            partial = bucket / f".{hexid[2:]}.partial"
+            try:
+                with open(partial, "wb") as out:
+                    out.writelines(self._pieces(object_id, value))
+            except BaseException:
+                partial.unlink(missing_ok=True)
+                raise
+            os.replace(partial, bucket / hexid[2:])
 
     @classmethod
     def load(cls, root: Union[str, Path]) -> "ObjectStore":
@@ -151,9 +198,7 @@ class ObjectStore:
                         f" unknown manifest kind {kind!r}"
                     )
                 object_id = ObjectId.from_hex(bucket.name + item.name)
-                key = (object_type, object_id)
-                store._insertions[key] += 1
-                store._objects.setdefault(key, manifest)
+                store._insert(object_type, object_id, manifest)
         return store
 
 
@@ -170,97 +215,74 @@ def _is_excluded(name: str, rel: str, excludes: Sequence[str]) -> bool:
     return False
 
 
-def _read_file(path: Path) -> bytes:
+_CHUNK = 1 << 16
+
+
+def _unreadable(path: str, exc: OSError) -> UnreadableError:
+    return UnreadableError(f"{path}: {exc.strerror or exc}")
+
+
+def _lstat_root(path: Union[str, Path]) -> os.stat_result:
     try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise UnreadableError(f"{path}: {exc.strerror or exc}") from exc
+        return os.lstat(path)
+    except (OSError, ValueError):
+        raise NotFoundError(f"{path}: no such file or directory") from None
 
 
-def _read_link(path: Path) -> bytes:
+def _read_blob(path: str) -> Iterator[bytes]:
+    """Yield a regular file's blob manifest: its header, then its bytes.
+
+    The header's length is fstat's on the open fd. A file whose length
+    differs once read to the end changed during the read and raises
+    UnreadableError, as does any OSError, so it never yields an id.
+    """
     try:
-        return os.readlink(os.fsencode(str(path)))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            yield b"blob %d\x00" % size
+            done = 0
+            while chunk := os.read(fd, _CHUNK):
+                done += len(chunk)
+                yield chunk
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise UnreadableError(f"{path}: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
+    if done != size:
+        raise UnreadableError(f"{path}: changed while being read ({done}/{size} bytes)")
 
 
-def _listdir(path: Path) -> List[str]:
+def _scan(path: str, rel: str, excludes: Sequence[str]) -> Iterator[os.DirEntry]:
+    """A directory's entries that are not excluded, in name order."""
+    prefix = f"{rel}/" if rel else ""
     try:
-        return sorted(os.listdir(path))
+        with os.scandir(path) as it:
+            kept = [
+                e for e in it if not _is_excluded(e.name, prefix + e.name, excludes)
+            ]
     except OSError as exc:
-        raise UnreadableError(f"{path}: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
+    return iter(sorted(kept, key=lambda entry: entry.name))
 
 
-def _prehash_files(
-    root: Path,
-    excludes: Sequence[str],
-    store: ObjectStore,
-    jobs: int,
-) -> Dict[Path, CoreSwhid]:
-    """Hash regular files concurrently before the sequential tree walk."""
-    targets: List[Path] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel_dir = os.path.relpath(dirpath, root)
-        rel_dir = "" if rel_dir == "." else rel_dir
-        dirnames[:] = [
-            d
-            for d in dirnames
-            if not _is_excluded(d, os.path.join(rel_dir, d), excludes)
-        ]
-        for name in filenames:
-            if _is_excluded(name, os.path.join(rel_dir, name), excludes):
-                continue
-            candidate = Path(dirpath, name)
-            if candidate.is_symlink() or not candidate.is_file():
-                continue
-            targets.append(candidate)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        ids = list(
-            pool.map(lambda p: store.add(Content(_read_file(p))), targets)
-        )
-    return dict(zip(targets, ids))
-
-
-def _ingest_node(
-    path: Path,
-    rel: str,
-    excludes: Sequence[str],
-    store: ObjectStore,
-    collect: Optional[List[Tuple[str, CoreSwhid]]],
-    file_ids: Mapping[Path, CoreSwhid],
+def _ingest_leaf(
+    path: str, mode: int, store: ObjectStore
 ) -> Tuple[CoreSwhid, EntryPermission]:
-    if path.is_symlink():
-        swhid = store.add(Content(_read_link(path)))
-        permission = EntryPermission.SYMLINK
-    elif path.is_dir():
-        entries = []
-        for name in _listdir(path):
-            child_rel = f"{rel}/{name}" if rel else name
-            if _is_excluded(name, child_rel, excludes):
-                continue
-            child_id, child_perm = _ingest_node(
-                path / name, child_rel, excludes, store, collect, file_ids
-            )
-            entries.append(
-                DirectoryEntry(os.fsencode(name), child_perm, child_id.object_id)
-            )
-        swhid = store.add(Directory(tuple(entries)))
-        permission = EntryPermission.DIRECTORY
-    elif path.is_file():
-        swhid = file_ids.get(path) or store.add(Content(_read_file(path)))
-        mode = path.stat().st_mode
-        permission = (
-            EntryPermission.EXECUTABLE_FILE
-            if mode & stat.S_IXUSR
-            else EntryPermission.REGULAR_FILE
-        )
-    else:
+    if stat.S_ISLNK(mode):
+        try:
+            target = os.readlink(os.fsencode(path))
+        except OSError as exc:
+            raise _unreadable(path, exc) from exc
+        return store.add(Content(target)), EntryPermission.SYMLINK
+    if not stat.S_ISREG(mode):
         raise UnsupportedNodeKindError(
             f"{path}: not a regular file, directory, or symlink"
         )
-    if collect is not None:
-        collect.append((rel, swhid))
-    return swhid, permission
+    swhid = store._add_file(path)
+    if mode & stat.S_IXUSR:
+        return swhid, EntryPermission.EXECUTABLE_FILE
+    return swhid, EntryPermission.REGULAR_FILE
 
 
 def ingest_path(
@@ -276,17 +298,44 @@ def ingest_path(
     Returns the root identifier and the store holding every object reached.
     collect, if given, receives (root-relative path, id) pairs for every
     node, children before parents; the root's relative path is "".
-    jobs > 1 hashes file contents in a thread pool first.
+    jobs is accepted for compatibility: files are hashed in one thread.
     """
-    root = Path(path)
+    mode = _lstat_root(path).st_mode
+    # Absolute, so the store still finds its files after a chdir.
+    root = os.path.join(os.getcwd(), os.fspath(path))
     if store is None:
         store = ObjectStore()
-    if not os.path.lexists(root):
-        raise NotFoundError(f"{path}: no such file or directory")
-    file_ids: Mapping[Path, CoreSwhid] = {}
-    if jobs > 1 and root.is_dir() and not root.is_symlink():
-        file_ids = _prehash_files(root, excludes, store, jobs)
-    swhid, _ = _ingest_node(root, "", excludes, store, collect, file_ids)
+    if not stat.S_ISDIR(mode):
+        swhid, _ = _ingest_leaf(root, mode, store)
+        if collect is not None:
+            collect.append(("", swhid))
+        return swhid, store
+    # Post-order walk, one lstat per entry. A frame is a directory being
+    # read: name, relative path, entries left, entries finished.
+    frames = [("", "", _scan(root, "", excludes), [])]
+    while frames:
+        name, rel, children, finished = frames[-1]
+        child = next(children, None)
+        if child is None:
+            frames.pop()
+            swhid = store.add(Directory(finished))
+            permission = EntryPermission.DIRECTORY
+        else:
+            name = child.name
+            rel = f"{rel}/{name}" if rel else name
+            try:
+                mode = child.stat(follow_symlinks=False).st_mode
+            except OSError as exc:
+                raise _unreadable(child.path, exc) from exc
+            if stat.S_ISDIR(mode):
+                frames.append((name, rel, _scan(child.path, rel, excludes), []))
+                continue
+            swhid, permission = _ingest_leaf(child.path, mode, store)
+        if collect is not None:
+            collect.append((rel, swhid))
+        if frames:
+            entry = DirectoryEntry(os.fsencode(name), permission, swhid.object_id)
+            frames[-1][3].append(entry)
     return swhid, store
 
 
@@ -332,50 +381,43 @@ def _tree_entries(
 def _localize(
     expected_id: ObjectId,
     actual_id: ObjectId,
-    rel: str,
     reference: ObjectStore,
     actual_store: ObjectStore,
-    out: List[EntryMismatch],
     limit: int,
-) -> None:
-    if len(out) >= limit:
-        return
-    expected_manifest = reference.get(ObjectType.DIRECTORY, expected_id)
-    actual_manifest = actual_store.get(ObjectType.DIRECTORY, actual_id)
-    if expected_manifest is None or actual_manifest is None:
-        out.append(
-            EntryMismatch(rel, expected_id.hex, actual_id.hex, "differs")
-        )
-        return
-    expected_entries = _tree_entries(expected_manifest)
-    actual_entries = _tree_entries(actual_manifest)
-    for name in sorted(set(expected_entries) | set(actual_entries)):
-        if len(out) >= limit:
-            return
-        child_rel = (
-            f"{rel}/{os.fsdecode(name)}" if rel else os.fsdecode(name)
-        )
-        exp = expected_entries.get(name)
-        act = actual_entries.get(name)
+) -> Tuple[EntryMismatch, ...]:
+    """The first limit divergences of a depth-first walk of both trees."""
+    out: List[EntryMismatch] = []
+    tree = b"40000"
+    # (path, expected (mode, id) or None, actual one or None); the entries
+    # of a directory are pushed in reverse so they pop in name order.
+    stack = [("", (tree, expected_id), (tree, actual_id))]
+    while stack and len(out) < limit:
+        rel, exp, act = stack.pop()
         if act is None:
-            assert exp is not None
-            out.append(EntryMismatch(child_rel, exp[1].hex, None, "missing"))
+            out.append(EntryMismatch(rel, exp[1].hex, None, "missing"))
         elif exp is None:
-            out.append(EntryMismatch(child_rel, None, act[1].hex, "unexpected"))
+            out.append(EntryMismatch(rel, None, act[1].hex, "unexpected"))
         elif exp == act:
             continue
         elif exp[1] == act[1]:
-            out.append(
-                EntryMismatch(child_rel, exp[1].hex, act[1].hex, "mode differs")
-            )
-        elif exp[0] == b"40000" and act[0] == b"40000":
-            _localize(
-                exp[1], act[1], child_rel, reference, actual_store, out, limit
-            )
+            out.append(EntryMismatch(rel, exp[1].hex, act[1].hex, "mode differs"))
         else:
-            out.append(
-                EntryMismatch(child_rel, exp[1].hex, act[1].hex, "differs")
-            )
+            expected = actual = None
+            if exp[0] == act[0] == tree:
+                expected = reference.get(ObjectType.DIRECTORY, exp[1])
+                actual = actual_store.get(ObjectType.DIRECTORY, act[1])
+            if expected is None or actual is None:
+                out.append(EntryMismatch(rel, exp[1].hex, act[1].hex, "differs"))
+                continue
+            expected_entries = _tree_entries(expected)
+            actual_entries = _tree_entries(actual)
+            names = set(expected_entries) | set(actual_entries)
+            for name in sorted(names, reverse=True):
+                child_rel = f"{rel}/{os.fsdecode(name)}" if rel else os.fsdecode(name)
+                stack.append(
+                    (child_rel, expected_entries.get(name), actual_entries.get(name))
+                )
+    return tuple(out)
 
 
 def verify_path(
@@ -400,15 +442,11 @@ def verify_path(
             f"{core.object_type.long_name} identifiers cannot be checked"
             " against a filesystem path"
         )
-    root = Path(path)
-    if not os.path.lexists(root):
-        raise NotFoundError(f"{path}: no such file or directory")
-    is_dir_node = root.is_dir() and not root.is_symlink()
-    if core.object_type is ObjectType.DIRECTORY and not is_dir_node:
-        raise TypeMismatchError(f"{path}: expected a directory")
-    if core.object_type is ObjectType.CONTENT and is_dir_node:
-        raise TypeMismatchError(f"{path}: expected a file")
-    actual, actual_store = ingest_path(root, excludes)
+    is_dir_node = stat.S_ISDIR(_lstat_root(path).st_mode)
+    if is_dir_node != (core.object_type is ObjectType.DIRECTORY):
+        kind = "file" if is_dir_node else "directory"
+        raise TypeMismatchError(f"{path}: expected a {kind}")
+    actual, actual_store = ingest_path(path, excludes)
     report_detail: Tuple[EntryMismatch, ...] = ()
     if actual.object_id != core.object_id:
         if (
@@ -416,17 +454,9 @@ def verify_path(
             and reference is not None
             and reference.get(ObjectType.DIRECTORY, core.object_id) is not None
         ):
-            found: List[EntryMismatch] = []
-            _localize(
-                core.object_id,
-                actual.object_id,
-                "",
-                reference,
-                actual_store,
-                found,
-                detail_limit,
+            report_detail = _localize(
+                core.object_id, actual.object_id, reference, actual_store, detail_limit
             )
-            report_detail = tuple(found)
         else:
             report_detail = (
                 EntryMismatch("", core.object_id.hex, actual.object_id.hex, "differs"),
@@ -469,12 +499,6 @@ class _Ref:
     """A 'label:<name>' placeholder in an id slot of a description."""
 
     label: str
-
-
-class _Unresolved(Exception):
-    def __init__(self, label: str):
-        super().__init__(label)
-        self.label = label
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -714,11 +738,7 @@ def describe_nodes(data: bytes) -> List[NodeDescription]:
 
 
 def _resolve_ref(value: Any, labels: Dict[str, ObjectId]) -> Any:
-    if isinstance(value, _Ref):
-        if value.label not in labels:
-            raise _Unresolved(value.label)
-        return labels[value.label]
-    return value
+    return labels[value.label] if isinstance(value, _Ref) else value
 
 
 def _build_node(
@@ -768,40 +788,36 @@ def realize_descriptions(
     so a cycle means a reference can never resolve). Results come back in
     document order. Nodes are added to store when one is given.
     """
+    # Kahn's algorithm: a description is ready once every label it names
+    # has been realized.
+    waiting = [{ref.label for ref in _iter_refs(d)} for d in descriptions]
+    dependents: Dict[str, List[int]] = {}
+    for index, needed in enumerate(waiting):
+        for label in needed:
+            dependents.setdefault(label, []).append(index)
+    ready = [index for index, needed in enumerate(waiting) if not needed]
     labels: Dict[str, ObjectId] = {}
-    results: List[Optional[Tuple[CoreSwhid, DagNode]]] = [None] * len(
-        descriptions
-    )
-    pending = list(enumerate(descriptions))
-    while pending:
-        stuck = []
-        progressed = False
-        for index, description in pending:
-            try:
-                node = _build_node(description, labels)
-            except _Unresolved:
-                stuck.append((index, description))
-                continue
-            if store is not None:
-                swhid = store.add(node)
-            else:
-                object_type, object_id = object_id_of(node)
-                swhid = CoreSwhid(object_type, object_id)
-            if description.label:
-                labels[description.label] = swhid.object_id
-            results[index] = (swhid, node)
-            progressed = True
-        if not progressed:
-            unresolved = sorted(
-                {
-                    ref.label
-                    for _, description in stuck
-                    for ref in _iter_refs(description)
-                    if ref.label not in labels
-                }
-            )
-            raise UnknownReferenceError(
-                "reference cycle or undefined labels: " + ", ".join(unresolved)
-            )
-        pending = stuck
-    return [result for result in results if result is not None]
+    results: List[Any] = [None] * len(descriptions)
+    while ready:
+        index = ready.pop()
+        description = descriptions[index]
+        node = _build_node(description, labels)
+        if store is not None:
+            swhid = store.add(node)
+        else:
+            swhid = CoreSwhid(*object_id_of(node))
+        results[index] = (swhid, node)
+        if description.label:
+            labels[description.label] = swhid.object_id
+            for dependent in dependents.pop(description.label, ()):
+                waiting[dependent].discard(description.label)
+                if not waiting[dependent]:
+                    ready.append(dependent)
+    if None in results:
+        unresolved = set().union(
+            *(needed for needed, r in zip(waiting, results) if r is None)
+        )
+        raise UnknownReferenceError(
+            "reference cycle or undefined labels: " + ", ".join(sorted(unresolved))
+        )
+    return results

@@ -11,9 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import time
-from typing import Callable, Optional, Union
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import (
     IntegrityMismatchError,
@@ -23,6 +21,9 @@ from .errors import (
 )
 from .model import Content, content_id
 from .syntax import CoreSwhid, ObjectType, QualifiedSwhid
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "ResolverKind",
@@ -104,6 +105,10 @@ def _get_with_retries(
     as transport failures without retrying, since repeating a rejected
     request cannot help.
     """
+    # Imported here: identify, verify and parse never touch the network,
+    # and importing requests would double their start-up time.
+    import requests
+
     get = session.get if session is not None else requests.get
     last_error: Optional[str] = None
     for attempt in range(retries + 1):

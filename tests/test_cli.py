@@ -1,12 +1,14 @@
 import importlib.metadata
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import swhid
 from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
@@ -412,8 +414,8 @@ def _swhid_installed() -> bool:
     return True
 
 
-def test_console_script_entry_point(runner):
-    # The suite runs uninstalled (PYTHONPATH=src), so the declaration is read
+def _pyproject() -> dict:
+    # The suite runs uninstalled (PYTHONPATH=src), so declarations are read
     # from pyproject.toml itself rather than from installed metadata.
     if sys.version_info >= (3, 11):
         import tomllib
@@ -421,7 +423,11 @@ def test_console_script_entry_point(runner):
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
-        scripts = tomllib.load(f)["project"]["scripts"]
+        return tomllib.load(f)
+
+
+def test_console_script_entry_point(runner):
+    scripts = _pyproject()["project"]["scripts"]
     assert scripts["swhid"] == "swhid.cli:main"
 
     entry_point = importlib.metadata.EntryPoint(
@@ -444,3 +450,27 @@ def test_installed_console_script_entry_point():
     entry_points = importlib.metadata.entry_points(group="console_scripts")
     names = {ep.name: ep.value for ep in entry_points}
     assert names.get("swhid") == "swhid.cli:main"
+
+
+def test_version_option(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+def test_version_matches_pyproject():
+    assert swhid.__version__ == _pyproject()["project"]["version"]
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # identify/verify/parse never touch the network; importing requests
+    # would double their start-up time.
+    src = Path(swhid.__file__).resolve().parents[1]
+    probe = "import sys, swhid.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        check=True,
+    )
+    assert out.stdout.strip() == b"False"

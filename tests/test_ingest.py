@@ -1,11 +1,16 @@
 import json
 import os
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
+import swhid.ingest
+import swhid.model
+from swhid.cli import main
 from swhid.errors import (
     NotFoundError,
     RangeOutOfBoundsError,
@@ -163,9 +168,11 @@ def test_collect_reports_children_before_parents(tmp_path):
 def test_parallel_ingest_matches_serial(tmp_path):
     root = tmp_path / "d"
     make_tree(root)
-    serial, serial_store = ingest_path(root, jobs=1)
-    parallel, parallel_store = ingest_path(root, jobs=4)
+    serial_rows, parallel_rows = [], []
+    serial, serial_store = ingest_path(root, jobs=1, collect=serial_rows)
+    parallel, parallel_store = ingest_path(root, jobs=4, collect=parallel_rows)
     assert serial == parallel
+    assert serial_rows == parallel_rows
     assert len(serial_store) == len(parallel_store)
 
 
@@ -190,16 +197,141 @@ def test_ingest_unreadable_file(tmp_path, monkeypatch):
     root = tmp_path / "d"
     root.mkdir()
     (root / "locked").write_bytes(b"secret")
-    real = Path.read_bytes
+    real = os.open
 
-    def flaky(self):
-        if self.name == "locked":
+    def flaky(path, *args, **kwargs):
+        if os.path.basename(path) == "locked":
             raise PermissionError(13, "Permission denied")
-        return real(self)
+        return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", flaky)
-    with pytest.raises(UnreadableError):
+    monkeypatch.setattr(os, "open", flaky)
+    with pytest.raises(UnreadableError, match="locked: Permission denied"):
         ingest_path(root)
+
+
+@pytest.mark.parametrize("change", ["grow", "shrink"])
+def test_ingest_file_changing_mid_read(tmp_path, monkeypatch, change):
+    root = tmp_path / "d"
+    root.mkdir()
+    victim = root / "moving"
+    victim.write_bytes(b"x" * 100)
+    inode = victim.stat().st_ino
+    real = os.read
+
+    def racing_read(fd, count):
+        # Another writer gets in between fstat and the first read.
+        if os.fstat(fd).st_ino == inode and os.lseek(fd, 0, os.SEEK_CUR) == 0:
+            if change == "grow":
+                with open(victim, "ab") as fh:
+                    fh.write(b"more")
+            else:
+                os.truncate(victim, os.fstat(fd).st_size // 2)
+        return real(fd, count)
+
+    monkeypatch.setattr(os, "read", racing_read)
+    with pytest.raises(UnreadableError, match="moving: changed while being read"):
+        ingest_path(root)
+    result = CliRunner().invoke(main, ["identify", str(root)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "changed while being read" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_ingest_deep_tree(tmp_path, oracle):
+    # Built with a loop: os.makedirs, like a recursive walk, would hit the
+    # interpreter's recursion limit.
+    depth = 1100
+    path = os.fspath(tmp_path / "deep")
+    os.mkdir(path)
+    chain = [path]
+    for _ in range(depth):
+        path = os.path.join(path, "d")
+        os.mkdir(path)
+        chain.append(path)
+    leaf = os.path.join(path, "leaf.txt")
+    try:
+        with open(leaf, "wb") as fh:
+            fh.write(b"bottom\n")
+        swhid, reference = ingest_path(chain[0])
+        assert swhid.object_id.hex == oracle.add_worktree_path(Path(chain[0]))
+        with open(leaf, "wb") as fh:
+            fh.write(b"edited\n")
+        report = verify_path(swhid, chain[0], reference=reference)
+        assert [(d.path, d.note) for d in report.detail] == [
+            ("/".join(["d"] * depth + ["leaf.txt"]), "differs")
+        ]
+    finally:
+        # shutil.rmtree may recurse too, so leave pytest a shallow tree.
+        if os.path.exists(leaf):
+            os.unlink(leaf)
+        for directory in reversed(chain):
+            os.rmdir(directory)
+
+
+_NAMES = (
+    st.lists(st.sampled_from(b"ab.- \xe9\xff"), min_size=1, max_size=4)
+    .map(bytes)
+    .filter(lambda name: name not in (b".", b".."))
+)
+_LEAVES = st.one_of(
+    st.tuples(
+        st.just("file"),
+        st.one_of(st.sampled_from([b"", b"same\n"]), st.binary(max_size=40)),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("link"),
+        st.binary(min_size=1, max_size=12).filter(lambda t: b"\x00" not in t),
+    ),
+)
+
+
+def _directories(children):
+    # Never empty: git cannot represent an empty directory. The flag adds
+    # entries that the "*.tmp" exclusion must drop.
+    return st.tuples(
+        st.just("dir"),
+        st.dictionaries(_NAMES, children, min_size=1, max_size=4),
+        st.booleans(),
+    )
+
+
+def _materialize(path: bytes, node, excluded: list) -> None:
+    if node[0] == "file":
+        with open(path, "wb") as fh:
+            fh.write(node[1])
+        os.chmod(path, 0o755 if node[2] else 0o644)
+    elif node[0] == "link":
+        os.symlink(node[1], path)
+    else:
+        os.mkdir(path)
+        for name, child in node[1].items():
+            _materialize(os.path.join(path, name), child, excluded)
+        if node[2]:
+            junk = os.path.join(path, b"junk.tmp")
+            cache = os.path.join(path, b"cache.tmp")
+            with open(junk, "wb") as fh:
+                fh.write(b"scratch")
+            inner = os.path.join(cache, b"inner")
+            os.mkdir(cache)
+            with open(inner, "wb") as fh:
+                fh.write(b"dropped with its directory")
+            excluded.extend([junk, inner, cache])
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=_directories(st.recursive(_LEAVES, _directories, max_leaves=16)))
+def test_ingest_random_trees_match_git(tree, session_oracle, tmp_path_factory):
+    base = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())
+    root = os.path.join(os.fsencode(base), b"t")
+    excluded: list = []
+    _materialize(root, tree, excluded)
+    swhid, _ = ingest_path(os.fsdecode(root), excludes=("*.tmp",))
+    for path in excluded:
+        (os.rmdir if os.path.isdir(path) else os.unlink)(path)
+    expected = session_oracle.add_worktree_path(Path(os.fsdecode(root)))
+    assert swhid.object_id.hex == expected
 
 
 def test_ingest_non_utf8_names(tmp_path, oracle):
@@ -256,6 +388,77 @@ def test_store_save_load_round_trip(tmp_path):
             swhid.object_type, swhid.object_id
         )
     assert loaded.audit() == []
+
+
+def test_store_add_serializes_once(monkeypatch):
+    blob = Content(b"abc")
+    tree = Directory(
+        (DirectoryEntry(b"f", EntryPermission.REGULAR_FILE, content_id(blob)),)
+    )
+    expected = [swhid_of(blob), swhid_of(tree)]
+    calls = []
+    real = swhid.model.manifest_of
+
+    def counting(node):
+        calls.append(node)
+        return real(node)
+
+    # Both bindings: object_id_of would serialize through the model's.
+    monkeypatch.setattr(swhid.ingest, "manifest_of", counting)
+    monkeypatch.setattr(swhid.model, "manifest_of", counting)
+    store = ObjectStore()
+    assert [store.add(blob), store.add(tree)] == expected
+    assert calls == [blob, tree]
+
+
+def test_store_rereads_ingested_files(tmp_path):
+    root = tmp_path / "proj"
+    make_tree(root)
+    _, store = ingest_path(root)
+    key = (ObjectType.CONTENT, content_id(Content(b"hello\n")))
+    assert store.get(*key) == b"blob 6\x00hello\n"
+    (root / "docs" / "readme.txt").write_bytes(b"HELLO\n")
+    with pytest.raises(StoreError):
+        store.get(*key)
+    assert store.audit() == [CoreSwhid(*key)]
+    out = tmp_path / "exported"
+    with pytest.raises(StoreError):
+        store.save(out)
+    hexid = key[1].hex
+    bucket = out / "objects" / hexid[:2]
+    assert not bucket.exists() or not [
+        p for p in bucket.iterdir() if hexid[2:] in p.name
+    ]
+
+
+def test_store_rereads_files_after_chdir(tmp_path, monkeypatch):
+    make_tree(tmp_path / "proj")
+    monkeypatch.chdir(tmp_path)
+    root_id, store = ingest_path("proj")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert store.audit() == []
+    store.save(tmp_path / "exported")
+    loaded = ObjectStore.load(tmp_path / "exported")
+    assert set(loaded) == set(store)
+    assert verify_path(root_id, tmp_path / "proj", reference=loaded).matched
+
+
+def test_store_failed_save_keeps_earlier_copy(tmp_path):
+    root = tmp_path / "proj"
+    make_tree(root)
+    _, store = ingest_path(root)
+    out = tmp_path / "exported"
+    store.save(out)
+    hexid = content_id(Content(b"hello\n")).hex
+    saved = out / "objects" / hexid[:2] / hexid[2:]
+    (root / "docs" / "readme.txt").write_bytes(b"HELLO\n")
+    with pytest.raises(StoreError):
+        store.save(out)
+    assert saved.read_bytes() == b"blob 6\x00hello\n"
+    assert not list((out / "objects").glob("*/.*"))
+    assert ObjectStore.load(out).audit() == []
 
 
 def test_store_load_rejects_stray_entries(tmp_path):
@@ -654,6 +857,76 @@ def test_describe_extra_headers():
     (description,) = describe_nodes(json.dumps(document).encode())
     ((swhid, node),) = realize_descriptions([description])
     assert b"encoding ISO-8859-1\n" in manifest_of(node)
+
+
+def _chain_document(order):
+    """Revisions r0 <- r1 <- ... <- r5, a release of r3 and a snapshot."""
+    entries = []
+    for index in range(6):
+        entries.append(
+            {
+                "type": "revision",
+                "label": f"r{index}",
+                "tree": "4b825dc642cb6eb9a060e54bf8d69288fbee4904",
+                "parents": [f"label:r{index - 1}"] if index else [],
+                "author": "A <a@x>",
+                "author_date": {"seconds": index, "offset": "+0000"},
+                "committer": "A <a@x>",
+                "committer_date": {"seconds": index, "offset": "+0000"},
+                "message": f"commit {index}\n",
+            }
+        )
+    entries.append(
+        {
+            "type": "release",
+            "label": "v1",
+            "target": "label:r3",
+            "target_type": "revision",
+            "name": "v1",
+            "message": "",
+        }
+    )
+    entries.append(
+        {
+            "type": "snapshot",
+            "label": "snap",
+            "branches": {
+                "main": {"target_type": "revision", "target": "label:r5"},
+                "v1": {"target_type": "release", "target": "label:v1"},
+            },
+        }
+    )
+    return [entries[i] for i in order]
+
+
+def test_realize_mixed_order_matches_oldest_first():
+    oldest = describe_nodes(json.dumps(_chain_document(range(8))).encode())
+    expected = {
+        d.label: swhid for d, (swhid, _) in zip(oldest, realize_descriptions(oldest))
+    }
+    # Forward and backward references, in document order.
+    mixed = [7, 2, 5, 0, 6, 4, 1, 3]
+    descriptions = describe_nodes(json.dumps(_chain_document(mixed)).encode())
+    realized = realize_descriptions(descriptions)
+    assert {d.label: swhid for d, (swhid, _) in zip(descriptions, realized)} == expected
+
+    # A cycle (c1 <-> c2), a node hanging off it (c3), and a dropped
+    # definition (r5): the realizable part still goes into the store, and
+    # the error names every label left unresolved.
+    document = _chain_document(mixed)
+    for label, parent in (("c1", "c2"), ("c2", "c1"), ("c3", "c1")):
+        document.append(dict(document[3], label=label, parents=[f"label:{parent}"]))
+    stuck = [
+        d for d in describe_nodes(json.dumps(document).encode()) if d.label != "r5"
+    ]
+    store = ObjectStore()
+    with pytest.raises(UnknownReferenceError) as excinfo:
+        realize_descriptions(stuck, store)
+    assert str(excinfo.value) == "reference cycle or undefined labels: c1, c2, r5"
+    assert set(store) == {
+        (expected[label].object_type, expected[label].object_id)
+        for label in ("r0", "r1", "r2", "r3", "r4", "v1")
+    }
 
 
 def test_realize_reports_unresolvable_labels():
