@@ -1,11 +1,12 @@
 """Command line interface.
 
 Exit codes are part of the contract: 0 success, 1 verification mismatch,
-2 usage or syntax error, 3 I/O or network failure.
+2 usage or syntax error, 3 I/O or network failure. A SwhidError raised by
+any command ends in its class's exit_status (see swhid.errors), caught in
+one place: the command group's invoke().
 """
 from __future__ import annotations
 
-import enum
 import json as jsonlib
 import os
 import sys
@@ -15,18 +16,7 @@ from typing import NoReturn
 import click
 
 from . import __version__
-from .errors import (
-    IntegrityMismatchError,
-    NotFoundError,
-    NotFoundInArchiveError,
-    RangeOutOfBoundsError,
-    StoreError,
-    TransportError,
-    TypeContradictionError,
-    TypeMismatchError,
-    UnreadableError,
-    UnsupportedNodeKindError,
-)
+from .errors import ExitStatus, SwhidError
 from .ingest import ObjectStore, extract_lines, ingest_path, verify_path
 from .model import Content, content_id
 from .resolve import (
@@ -35,14 +25,7 @@ from .resolve import (
     resolve_metadata,
     resolver_url,
 )
-from .syntax import ObjectType, SwhidParseError, parse, validate
-
-
-class ExitStatus(enum.IntEnum):
-    OK = 0
-    MISMATCH = 1
-    USAGE = 2
-    IO_ERROR = 3
+from .syntax import ObjectType, parse, validate
 
 
 def _fail(code: ExitStatus, message: str) -> NoReturn:
@@ -50,7 +33,19 @@ def _fail(code: ExitStatus, message: str) -> NoReturn:
     sys.exit(code)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Group(click.Group):
+    """Ends every command's SwhidError in that error's exit_status."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SwhidError as exc:
+            _fail(exc.exit_status, str(exc))
+
+
+@click.group(
+    cls=_Group, context_settings={"help_option_names": ["-h", "--help"]}
+)
 @click.version_option(version=__version__)
 def main():
     """Intrinsic, verifiable identifiers for source code artifacts."""
@@ -89,16 +84,7 @@ def identify(paths, force_type, excludes, recursive, jobs, as_json):
     rows = []
     for path in paths:
         collected = [] if recursive else None
-        try:
-            swhid, _ = ingest_path(
-                path, excludes, jobs=jobs, collect=collected
-            )
-        except (
-            NotFoundError,
-            UnreadableError,
-            UnsupportedNodeKindError,
-        ) as exc:
-            _fail(ExitStatus.IO_ERROR, str(exc))
+        swhid, _ = ingest_path(path, excludes, jobs=jobs, collect=collected)
         if force_type is not None and swhid.object_type.value != force_type:
             _fail(
                 ExitStatus.USAGE,
@@ -182,24 +168,9 @@ def parse_command(identifier, permissive, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def verify(identifier, path, excludes, objects_dir, as_json):
     """Check that PATH still hashes to IDENTIFIER."""
-    try:
-        value = parse(identifier)
-    except SwhidParseError as exc:
-        _fail(ExitStatus.USAGE, str(exc))
-    reference = None
-    if objects_dir is not None:
-        try:
-            reference = ObjectStore.load(objects_dir)
-        except (StoreError, OSError) as exc:
-            _fail(ExitStatus.IO_ERROR, str(exc))
-    try:
-        report = verify_path(
-            value, path, reference=reference, excludes=excludes
-        )
-    except TypeMismatchError as exc:
-        _fail(ExitStatus.USAGE, str(exc))
-    except (NotFoundError, UnreadableError, UnsupportedNodeKindError) as exc:
-        _fail(ExitStatus.IO_ERROR, str(exc))
+    value = parse(identifier)
+    reference = None if objects_dir is None else ObjectStore.load(objects_dir)
+    report = verify_path(value, path, reference=reference, excludes=excludes)
     if as_json:
         click.echo(
             jsonlib.dumps(
@@ -267,32 +238,19 @@ def verify(identifier, path, excludes, objects_dir, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def resolve(identifier, resolver, check, fetch_to, endpoint, as_json):
     """Build a resolver URL, optionally checking the archive."""
-    try:
-        value = parse(identifier)
-    except SwhidParseError as exc:
-        _fail(ExitStatus.USAGE, str(exc))
+    value = parse(identifier)
     if fetch_to is not None and value.object_type is not ObjectType.CONTENT:
         _fail(ExitStatus.USAGE, "--fetch needs a content identifier")
     url = resolver_url(value, ResolverKind(resolver))
     info: dict = {"url": url}
     if check:
-        try:
-            metadata = resolve_metadata(value.core, endpoint)
-        except TypeContradictionError as exc:
-            _fail(ExitStatus.MISMATCH, str(exc))
-        except (NotFoundInArchiveError, TransportError) as exc:
-            _fail(ExitStatus.IO_ERROR, str(exc))
+        metadata = resolve_metadata(value.core, endpoint)
         info["known"] = True
         info["type_confirmed"] = metadata.object_type_confirmed
         if metadata.browse_url:
             info["browse_url"] = metadata.browse_url
     if fetch_to is not None:
-        try:
-            data = fetch_content_verified(value.core, endpoint)
-        except IntegrityMismatchError as exc:
-            _fail(ExitStatus.MISMATCH, str(exc))
-        except (NotFoundInArchiveError, TransportError) as exc:
-            _fail(ExitStatus.IO_ERROR, str(exc))
+        data = fetch_content_verified(value.core, endpoint)
         try:
             Path(fetch_to).write_bytes(data)
         except OSError as exc:
@@ -322,10 +280,7 @@ def resolve(identifier, resolver, check, fetch_to, endpoint, as_json):
 )
 def extract_lines_command(identifier, path, no_verify):
     """Write the line range a qualified identifier selects from PATH."""
-    try:
-        value = parse(identifier)
-    except SwhidParseError as exc:
-        _fail(ExitStatus.USAGE, str(exc))
+    value = parse(identifier)
     if value.object_type is not ObjectType.CONTENT:
         _fail(ExitStatus.USAGE, "extract-lines needs a content identifier")
     if value.lines is None:
@@ -342,11 +297,7 @@ def extract_lines_command(identifier, path, no_verify):
                 f"{path} hashes to {actual.hex},"
                 f" identifier says {value.object_id.hex}",
             )
-    try:
-        selected = extract_lines(data, value.lines)
-    except RangeOutOfBoundsError as exc:
-        _fail(ExitStatus.USAGE, str(exc))
-    click.echo(selected, nl=False)
+    click.echo(extract_lines(data, value.lines), nl=False)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,25 @@
 """Exception hierarchy shared by all swhid modules.
 
 Everything raised on purpose by this package derives from SwhidError, so
-callers can catch one base class. The CLI maps these onto exit codes.
+callers can catch one base class. Each class names the CLI exit status it
+ends in as its exit_status; this module is the only map from error to
+exit code.
 """
 from __future__ import annotations
+
+import enum
+
+
+class ExitStatus(enum.IntEnum):
+    OK = 0
+    MISMATCH = 1
+    USAGE = 2
+    IO_ERROR = 3
 
 
 class SwhidError(Exception):
     """Base class for all errors raised by this package."""
+    exit_status = ExitStatus.USAGE
 
 
 # --- model / node construction -------------------------------------------
@@ -40,6 +52,7 @@ class InvalidBranchNameError(ModelError):
 
 class IngestError(SwhidError):
     """Base class for filesystem ingestion failures."""
+    exit_status = ExitStatus.IO_ERROR
 
 
 class NotFoundError(IngestError):
@@ -56,14 +69,17 @@ class UnsupportedNodeKindError(IngestError):
 
 class TypeMismatchError(IngestError):
     """The identifier's object type contradicts the node kind on disk."""
+    exit_status = ExitStatus.USAGE
 
 
 class RangeOutOfBoundsError(IngestError):
     """A line range starts beyond the last line of the content."""
+    exit_status = ExitStatus.USAGE
 
 
 class StoreError(SwhidError):
     """An object store directory is structurally invalid."""
+    exit_status = ExitStatus.IO_ERROR
 
 
 # --- description files -----------------------------------------------------
@@ -84,6 +100,7 @@ class UnknownReferenceError(SwhidError):
 
 class ResolveError(SwhidError):
     """Base class for archive resolution failures."""
+    exit_status = ExitStatus.IO_ERROR
 
 
 class NotFoundInArchiveError(ResolveError):
@@ -92,6 +109,7 @@ class NotFoundInArchiveError(ResolveError):
 
 class TypeContradictionError(ResolveError):
     """The archive holds the object under a different type."""
+    exit_status = ExitStatus.MISMATCH
 
 
 class TransportError(ResolveError):
@@ -100,6 +118,7 @@ class TransportError(ResolveError):
 
 class IntegrityMismatchError(ResolveError):
     """Fetched bytes do not hash back to the requested identifier."""
+    exit_status = ExitStatus.MISMATCH
 
     def __init__(self, expected_hex: str, actual_hex: str):
         super().__init__(

@@ -20,7 +20,6 @@ import os
 import re
 import stat
 import threading
-from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -78,9 +77,10 @@ class ObjectStore:
     """
 
     def __init__(self):
-        # A manifest, or (as str) the path of a file holding the content.
-        self._objects: Dict[Tuple[ObjectType, ObjectId], Union[bytes, str]] = {}
-        self._insertions: Counter = Counter()
+        # [value, insertions]: the value is a manifest, or (as str) the path
+        # of a file holding the content. One mapping, so an insert hashes
+        # its key once.
+        self._objects: Dict[Tuple[ObjectType, ObjectId], list] = {}
         self._lock = threading.Lock()
 
     def add(self, node: DagNode) -> CoreSwhid:
@@ -97,10 +97,8 @@ class ObjectStore:
         return self._insert(ObjectType.CONTENT, ObjectId(digest.digest()), path)
 
     def _insert(self, object_type: ObjectType, object_id: ObjectId, value) -> CoreSwhid:
-        key = (object_type, object_id)
         with self._lock:
-            self._insertions[key] += 1
-            self._objects.setdefault(key, value)
+            self._objects.setdefault((object_type, object_id), [value, 0])[1] += 1
         return CoreSwhid(object_type, object_id)
 
     def _pieces(self, object_id: ObjectId, value) -> Iterator[bytes]:
@@ -121,14 +119,15 @@ class ObjectStore:
 
     def get(self, object_type: ObjectType, object_id: ObjectId) -> Optional[bytes]:
         """The object's manifest, or None. StoreError if its file changed."""
-        value = self._objects.get((object_type, object_id))
-        return None if value is None else b"".join(self._pieces(object_id, value))
+        entry = self._objects.get((object_type, object_id))
+        return None if entry is None else b"".join(self._pieces(object_id, entry[0]))
 
     def insertions(
         self, object_type: ObjectType, object_id: ObjectId
     ) -> int:
         """How many times add() has seen this object."""
-        return self._insertions[(object_type, object_id)]
+        entry = self._objects.get((object_type, object_id))
+        return 0 if entry is None else entry[1]
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -142,7 +141,7 @@ class ObjectStore:
     def audit(self) -> List[CoreSwhid]:
         """Re-hash every manifest; return identifiers that no longer match."""
         bad = []
-        for (object_type, object_id), value in self._objects.items():
+        for (object_type, object_id), (value, _) in self._objects.items():
             digest = hashlib.sha1()
             try:
                 for piece in self._pieces(object_id, value):
@@ -161,7 +160,7 @@ class ObjectStore:
         so a failed save leaves any earlier copy of it intact.
         """
         base = Path(root) / "objects"
-        for (_, object_id), value in self._objects.items():
+        for (_, object_id), (value, _) in self._objects.items():
             hexid = object_id.hex
             bucket = base / hexid[:2]
             bucket.mkdir(parents=True, exist_ok=True)
@@ -176,30 +175,40 @@ class ObjectStore:
 
     @classmethod
     def load(cls, root: Union[str, Path]) -> "ObjectStore":
-        """Read a directory written by save(). Layout errors raise StoreError."""
+        """Read a directory written by save().
+
+        StoreError for a bad layout, an unreadable entry, or an object
+        whose header length or sha1 disagrees with its bytes or its name.
+        """
         base = Path(root) / "objects"
         if not base.is_dir():
             raise StoreError(f"{root}: no objects/ directory")
         store = cls()
-        for bucket in sorted(base.iterdir()):
-            if not bucket.is_dir() or not re.fullmatch(r"[0-9a-f]{2}", bucket.name):
-                raise StoreError(f"unexpected entry {bucket.name!r} in objects/")
-            for item in sorted(bucket.iterdir()):
-                if not re.fullmatch(r"[0-9a-f]{38}", item.name):
-                    raise StoreError(
-                        f"unexpected entry {item.name!r} in objects/{bucket.name}/"
-                    )
-                manifest = item.read_bytes()
-                kind = manifest.split(b" ", 1)[0]
-                object_type = MANIFEST_KIND_TO_TYPE.get(kind)
-                if object_type is None:
-                    raise StoreError(
-                        f"objects/{bucket.name}/{item.name}:"
-                        f" unknown manifest kind {kind!r}"
-                    )
-                object_id = ObjectId.from_hex(bucket.name + item.name)
-                store._insert(object_type, object_id, manifest)
+        try:
+            for bucket in sorted(base.iterdir()):
+                if not bucket.is_dir() or not re.fullmatch(r"[0-9a-f]{2}", bucket.name):
+                    raise StoreError(f"unexpected entry {bucket.name!r} in objects/")
+                for item in sorted(bucket.iterdir()):
+                    store._load_item(bucket.name, item)
+        except OSError as exc:
+            raise StoreError(str(exc)) from exc
         return store
+
+    def _load_item(self, bucket: str, item: Path) -> None:
+        where = f"objects/{bucket}/{item.name}"
+        if not re.fullmatch(r"[0-9a-f]{38}", item.name):
+            raise StoreError(f"unexpected entry {item.name!r} in objects/{bucket}/")
+        manifest = item.read_bytes()
+        kind = manifest.split(b" ", 1)[0]
+        object_type = MANIFEST_KIND_TO_TYPE.get(kind)
+        if object_type is None:
+            raise StoreError(f"{where}: unknown manifest kind {kind!r}")
+        header, nul, body = manifest.partition(b"\x00")
+        if not nul or header != b"%s %d" % (kind, len(body)):
+            raise StoreError(f"{where}: header does not give the body's length")
+        if hashlib.sha1(manifest).hexdigest() != bucket + item.name:
+            raise StoreError(f"{where}: bytes do not hash to the file name")
+        self._insert(object_type, ObjectId.from_hex(bucket + item.name), manifest)
 
 
 # --- filesystem ingestion ----------------------------------------------------
@@ -364,17 +373,21 @@ class VerificationReport:
 
 
 def _tree_entries(
-    manifest: bytes,
+    object_id: ObjectId, manifest: bytes
 ) -> Dict[bytes, Tuple[bytes, ObjectId]]:
+    """name -> (mode, id) of a tree manifest; StoreError if it is malformed."""
     body = manifest[manifest.index(b"\x00") + 1 :]
     entries: Dict[bytes, Tuple[bytes, ObjectId]] = {}
     pos = 0
-    while pos < len(body):
-        space = body.index(b" ", pos)
-        nul = body.index(b"\x00", space)
-        name = body[space + 1 : nul]
-        entries[name] = (body[pos:space], ObjectId(body[nul + 1 : nul + 21]))
-        pos = nul + 21
+    try:
+        while pos < len(body):
+            space = body.index(b" ", pos)
+            nul = body.index(b"\x00", space)
+            name = body[space + 1 : nul]
+            entries[name] = (body[pos:space], ObjectId(body[nul + 1 : nul + 21]))
+            pos = nul + 21
+    except ValueError:
+        raise StoreError(f"tree {object_id.hex}: malformed entry at byte {pos}")
     return entries
 
 
@@ -409,8 +422,8 @@ def _localize(
             if expected is None or actual is None:
                 out.append(EntryMismatch(rel, exp[1].hex, act[1].hex, "differs"))
                 continue
-            expected_entries = _tree_entries(expected)
-            actual_entries = _tree_entries(actual)
+            expected_entries = _tree_entries(exp[1], expected)
+            actual_entries = _tree_entries(act[1], actual)
             names = set(expected_entries) | set(actual_entries)
             for name in sorted(names, reverse=True):
                 child_rel = f"{rel}/{os.fsdecode(name)}" if rel else os.fsdecode(name)

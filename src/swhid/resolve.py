@@ -90,9 +90,8 @@ def resolver_url(
     raise ValueError(f"unknown resolver kind {kind!r}")
 
 
-def _get_with_retries(
+def _get(
     url: str,
-    *,
     session: Optional[requests.Session],
     timeout: float,
     retries: int,
@@ -110,30 +109,23 @@ def _get_with_retries(
     import requests
 
     get = session.get if session is not None else requests.get
-    last_error: Optional[str] = None
-    for attempt in range(retries + 1):
+    for attempt in range(max(retries, 0) + 1):
+        if attempt:
+            sleep(backoff * 2 ** (attempt - 1))
         try:
             response = get(url, timeout=timeout)
         except requests.RequestException as exc:
-            last_error = str(exc)
-            if attempt < retries:
-                sleep(backoff * (2**attempt))
-                continue
-            raise TransportError(f"GET {url}: {last_error}") from exc
-        if response.status_code == 404:
+            failure, cause = f"GET {url}: {exc}", exc
+            continue
+        status = response.status_code
+        if status == 404:
             raise NotFoundInArchiveError(f"{url}: not found in archive")
-        if response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
-            if attempt < retries:
-                sleep(backoff * (2**attempt))
-                continue
-            raise TransportError(f"GET {url}: {last_error}")
-        if response.status_code >= 400:
-            raise TransportError(
-                f"GET {url}: HTTP {response.status_code}"
-            )
-        return response
-    raise TransportError(f"GET {url}: {last_error}")  # unreachable
+        if status < 400:
+            return response
+        failure, cause = f"GET {url}: HTTP {status}", None
+        if status < 500:
+            break
+    raise TransportError(failure) from cause
 
 
 def resolve_metadata(
@@ -156,14 +148,7 @@ def resolve_metadata(
     core = swhid.core if isinstance(swhid, QualifiedSwhid) else swhid
     base = (endpoint or config.archive_url).rstrip("/")
     url = base + config.resolve_path.format(swhid=core)
-    response = _get_with_retries(
-        url,
-        session=session,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        sleep=sleep,
-    )
+    response = _get(url, session, timeout, retries, backoff, sleep)
     try:
         payload = response.json()
     except ValueError as exc:
@@ -216,14 +201,7 @@ def fetch_content_verified(
         )
     base = (endpoint or config.archive_url).rstrip("/")
     url = base + config.content_path.format(hex=core.object_id.hex)
-    response = _get_with_retries(
-        url,
-        session=session,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        sleep=sleep,
-    )
+    response = _get(url, session, timeout, retries, backoff, sleep)
     data = response.content
     actual = content_id(Content(data))
     if actual != core.object_id:

@@ -1,6 +1,8 @@
+import hashlib
 import importlib.metadata
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import swhid
+import swhid.errors as errors
 from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
@@ -26,6 +29,44 @@ def test_exit_status_values():
     assert ExitStatus.MISMATCH == 1
     assert ExitStatus.USAGE == 2
     assert ExitStatus.IO_ERROR == 3
+
+
+EXIT_STATUS_OF = {
+    "SwhidError": ExitStatus.USAGE,
+    "ModelError": ExitStatus.USAGE,
+    "DuplicateNameError": ExitStatus.USAGE,
+    "InvalidNameError": ExitStatus.USAGE,
+    "MalformedPersonError": ExitStatus.USAGE,
+    "MalformedNameError": ExitStatus.USAGE,
+    "InvalidBranchNameError": ExitStatus.USAGE,
+    "IngestError": ExitStatus.IO_ERROR,
+    "NotFoundError": ExitStatus.IO_ERROR,
+    "UnreadableError": ExitStatus.IO_ERROR,
+    "UnsupportedNodeKindError": ExitStatus.IO_ERROR,
+    "TypeMismatchError": ExitStatus.USAGE,
+    "RangeOutOfBoundsError": ExitStatus.USAGE,
+    "StoreError": ExitStatus.IO_ERROR,
+    "SchemaError": ExitStatus.USAGE,
+    "UnknownReferenceError": ExitStatus.USAGE,
+    "ResolveError": ExitStatus.IO_ERROR,
+    "NotFoundInArchiveError": ExitStatus.IO_ERROR,
+    "TypeContradictionError": ExitStatus.MISMATCH,
+    "TransportError": ExitStatus.IO_ERROR,
+    "IntegrityMismatchError": ExitStatus.MISMATCH,
+    "SwhidParseError": ExitStatus.USAGE,
+}
+
+
+def _error_classes(cls=errors.SwhidError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+def test_every_error_class_names_its_exit_status(cls):
+    # A class missing from the table fails here with a KeyError.
+    assert cls.exit_status is EXIT_STATUS_OF[cls.__name__]
 
 
 # --- identify -----------------------------------------------------------------
@@ -404,6 +445,73 @@ def test_bad_option_value_is_usage_error(runner, tmp_path):
         main, ["identify", "--jobs", "0", str(tmp_path)]
     )
     assert result.exit_code == ExitStatus.USAGE
+
+
+def _store_with(tmp_path, manifest, hexid=None):
+    # An exported store holding one object, named by its sha1 by default.
+    hexid = hexid or hashlib.sha1(manifest).hexdigest()
+    bucket = tmp_path / "store" / "objects" / hexid[:2]
+    bucket.mkdir(parents=True)
+    (bucket / hexid[2:]).write_bytes(manifest)
+    (tmp_path / "proj").mkdir()
+    (tmp_path / "proj" / "f").write_bytes(b"x")
+    store = str(tmp_path / "store")
+    return ["verify", "--objects", store, f"swh:1:dir:{hexid}", str(tmp_path / "proj")]
+
+
+def _missing_store(tmp_path, request):
+    store = str(tmp_path / "gone")
+    return ["verify", "--objects", store, "swh:1:dir:" + "0" * 40, str(tmp_path)]
+
+
+def _misnamed_store(tmp_path, request):
+    return _store_with(tmp_path, b"blob 3\x00abc", hexid="0" * 40)
+
+
+def _malformed_tree_store(tmp_path, request):
+    return _store_with(tmp_path, b"tree 7\x00garbage")
+
+
+def _refused_port(tmp_path, request):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return ["resolve", "--check", "--endpoint", f"http://127.0.0.1:{port}", GPL3_ID]
+
+
+def _unwritable_fetch(tmp_path, request):
+    archive = request.getfixturevalue("archive")
+    swhid = archive.add_content(b"payload\n")
+    out = tmp_path / "no-such-dir" / "out.bin"
+    return ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)]
+
+
+def _schema_error_in_identify(tmp_path, request):
+    def broken(*args, **kwargs):
+        raise errors.SchemaError("injected")
+
+    request.getfixturevalue("monkeypatch").setattr("swhid.cli.ingest_path", broken)
+    return ["identify", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        (_missing_store, ExitStatus.IO_ERROR),
+        (_misnamed_store, ExitStatus.IO_ERROR),
+        (_malformed_tree_store, ExitStatus.IO_ERROR),
+        (_refused_port, ExitStatus.IO_ERROR),
+        (_unwritable_fetch, ExitStatus.IO_ERROR),
+        (_schema_error_in_identify, ExitStatus.USAGE),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
+)
+def test_errors_end_in_their_exit_status(runner, tmp_path, request, case, code):
+    result = runner.invoke(main, case(tmp_path, request))
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("swhid: ")
+    assert "Traceback" not in result.output
 
 
 def _swhid_installed() -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -477,8 +478,75 @@ def test_store_audit_detects_tampering(tmp_path):
     hexid = swhid.object_id.hex
     victim = tmp_path / "exported" / "objects" / hexid[:2] / hexid[2:]
     victim.write_bytes(b"blob 7\x00tainted")
-    loaded = ObjectStore.load(tmp_path / "exported")
-    assert loaded.audit() == [CoreSwhid(swhid.object_type, swhid.object_id)]
+    # load() re-hashes every object, so tampering stops there, before audit.
+    with pytest.raises(StoreError, match=f"{hexid[2:]}: bytes do not hash"):
+        ObjectStore.load(tmp_path / "exported")
+
+
+def _exported(tmp_path, manifest, hexid=None):
+    # A store holding one object file, named by its sha1 unless told not to.
+    hexid = hexid or hashlib.sha1(manifest).hexdigest()
+    bucket = tmp_path / "exported" / "objects" / hexid[:2]
+    bucket.mkdir(parents=True)
+    (bucket / hexid[2:]).write_bytes(manifest)
+    return tmp_path / "exported", ObjectId.from_hex(hexid)
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        (b"blob 4\x00abc", "header does not give"),
+        (b"blob 03\x00abc", "header does not give"),
+        (b"blob 3abc", "header does not give"),
+        (b"blob  3\x00abc", "header does not give"),
+        (b"frob 3\x00abc", "unknown manifest kind"),
+    ],
+    ids=["long", "zero-padded", "no-nul", "two-spaces", "unknown-kind"],
+)
+def test_store_load_rejects_bad_headers(tmp_path, manifest, message):
+    base, _ = _exported(tmp_path, manifest)
+    with pytest.raises(StoreError, match=message):
+        ObjectStore.load(base)
+
+
+def test_store_load_turns_read_errors_into_store_errors(tmp_path):
+    hexid = "ab" * 20
+    (tmp_path / "exported" / "objects" / "ab" / hexid[2:]).mkdir(parents=True)
+    with pytest.raises(StoreError, match=hexid[2:]):
+        ObjectStore.load(tmp_path / "exported")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"garbage", b"100644 f\x00" + b"\x01" * 19, b"100644 f" + b"\x01" * 21],
+    ids=["no-space", "short-id", "no-nul"],
+)
+def test_malformed_reference_tree_is_a_store_error(tmp_path, body):
+    base, tree_id = _exported(tmp_path, b"tree %d\x00%s" % (len(body), body))
+    reference = ObjectStore.load(base)
+    (tmp_path / "proj").mkdir()
+    (tmp_path / "proj" / "f").write_bytes(b"x")
+    expected = CoreSwhid(ObjectType.DIRECTORY, tree_id)
+    with pytest.raises(StoreError, match=f"tree {tree_id.hex}: malformed"):
+        verify_path(expected, tmp_path / "proj", reference=reference)
+
+
+def test_store_counts_insertions_with_one_key_hash(monkeypatch):
+    # A repeated insert hashes its key once, a new one at most twice.
+    calls = []
+    real = ObjectId.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ObjectId, "__hash__", counting)
+    store = ObjectStore()
+    store.add(Content(b"a"))
+    new = len(calls)
+    store.add(Content(b"a"))
+    assert new <= 2 and len(calls) - new == 1
+    assert store.insertions(ObjectType.CONTENT, content_id(Content(b"a"))) == 2
 
 
 def test_store_is_thread_safe():
