@@ -7,9 +7,11 @@ one place: the command group's invoke().
 """
 from __future__ import annotations
 
+import base64
 import json as jsonlib
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
 
@@ -91,21 +93,27 @@ def identify(paths, force_type, excludes, recursive, jobs, as_json):
                 f"{path}: computed a {swhid.object_type.long_name}"
                 f" identifier, but --type {force_type} was requested",
             )
-        if collected is not None:
-            for rel, node_id in collected:
-                display = os.path.join(path, rel) if rel else path
-                rows.append((display, node_id))
-        else:
-            rows.append((path, swhid))
+        prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
+        rows.extend((prefix + r if r else path, i) for r, i in collected or [("", swhid)])
     if as_json:
-        click.echo(
-            jsonlib.dumps(
-                [{"path": p, "swhid": str(s)} for p, s in rows], indent=2
-            )
-        )
+        click.echo(_json_rows(rows))
     else:
         for p, s in rows:
             click.echo(f"{s}\t{p}")
+
+
+def _json_rows(rows) -> str:
+    """json.dumps(indent=2) of path/swhid dicts (path_b64 if not UTF-8), at C speed."""
+    out = []
+    for path, swhid in rows:
+        encoded = encode_basestring_ascii(path)
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            b64 = base64.b64encode(os.fsencode(path)).decode()
+            encoded += ',\n    "path_b64": "%s"' % b64
+        out.append('  {\n    "path": %s,\n    "swhid": "%s"\n  }' % (encoded, swhid))
+    return "[\n%s\n]" % ",\n".join(out) if out else "[]"
 
 
 @main.command(name="parse")

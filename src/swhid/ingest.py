@@ -21,7 +21,7 @@ import re
 import stat
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     MalformedPersonError,
@@ -40,8 +40,6 @@ from .model import (
     BranchTarget,
     Content,
     DagNode,
-    Directory,
-    DirectoryEntry,
     EntryPermission,
     PersonStamp,
     Release,
@@ -49,6 +47,7 @@ from .model import (
     Snapshot,
     manifest_of,
     object_id_of,
+    tree_body,
 )
 from .syntax import CoreSwhid, LineRange, ObjectId, ObjectType, QualifiedSwhid
 
@@ -90,37 +89,43 @@ class ObjectStore:
         object_id = ObjectId(hashlib.sha1(manifest).digest())
         return self._insert(object_type, object_id, manifest)
 
-    def _add_file(self, path: str) -> CoreSwhid:
-        digest = hashlib.sha1()
-        for piece in _read_blob(path):
-            digest.update(piece)
-        return self._insert(ObjectType.CONTENT, ObjectId(digest.digest()), path)
+    def _add_tree(self, rows: List[Tuple[bytes, bytes, bytes]]) -> CoreSwhid:
+        body = tree_body(rows)
+        manifest = b"tree %d\x00%s" % (len(body), body)
+        object_id = ObjectId(hashlib.sha1(manifest).digest())
+        return self._insert(ObjectType.DIRECTORY, object_id, manifest)
+
+    def _add_file(self, path: str) -> Tuple[CoreSwhid, bytes]:
+        """Hash a regular file as a stream; its id and its mode token."""
+        mode, digest = _read_file(path)
+        token = _EXECUTABLE if mode & stat.S_IXUSR else _REGULAR
+        return self._insert(ObjectType.CONTENT, ObjectId(digest), path), token
 
     def _insert(self, object_type: ObjectType, object_id: ObjectId, value) -> CoreSwhid:
         with self._lock:
             self._objects.setdefault((object_type, object_id), [value, 0])[1] += 1
         return CoreSwhid(object_type, object_id)
 
-    def _pieces(self, object_id: ObjectId, value) -> Iterator[bytes]:
-        # A manifest in pieces. A file is read again and raises StoreError,
-        # after its last piece, if it no longer hashes to its id.
+    def _emit(self, object_id: ObjectId, value, sink: Callable[[bytes], Any]) -> None:
+        """Feed a manifest to sink; StoreError if a re-read file no longer matches its id."""
         if isinstance(value, bytes):
-            yield value
+            sink(value)
             return
-        digest = hashlib.sha1()
         try:
-            for piece in _read_blob(value):
-                digest.update(piece)
-                yield piece
+            _, digest = _read_file(value, sink)
         except UnreadableError as exc:
             raise StoreError(f"content {object_id.hex}: {exc}") from exc
-        if digest.digest() != object_id.raw:
+        if digest != object_id.raw:
             raise StoreError(f"content {object_id.hex}: {value} changed since ingest")
 
     def get(self, object_type: ObjectType, object_id: ObjectId) -> Optional[bytes]:
         """The object's manifest, or None. StoreError if its file changed."""
         entry = self._objects.get((object_type, object_id))
-        return None if entry is None else b"".join(self._pieces(object_id, entry[0]))
+        if entry is None:
+            return None
+        pieces: List[bytes] = []
+        self._emit(object_id, entry[0], pieces.append)
+        return b"".join(pieces)
 
     def insertions(
         self, object_type: ObjectType, object_id: ObjectId
@@ -144,8 +149,7 @@ class ObjectStore:
         for (object_type, object_id), (value, _) in self._objects.items():
             digest = hashlib.sha1()
             try:
-                for piece in self._pieces(object_id, value):
-                    digest.update(piece)
+                self._emit(object_id, value, digest.update)
             except StoreError:
                 pass  # the digest cannot match either
             if digest.digest() != object_id.raw:
@@ -167,7 +171,7 @@ class ObjectStore:
             partial = bucket / f".{hexid[2:]}.partial"
             try:
                 with open(partial, "wb") as out:
-                    out.writelines(self._pieces(object_id, value))
+                    self._emit(object_id, value, out.write)
             except BaseException:
                 partial.unlink(missing_ok=True)
                 raise
@@ -214,17 +218,12 @@ class ObjectStore:
 # --- filesystem ingestion ----------------------------------------------------
 
 
-def _is_excluded(name: str, rel: str, excludes: Sequence[str]) -> bool:
-    # Patterns match the bare entry name or the root-relative path.
-    for pattern in excludes:
-        if fnmatch.fnmatchcase(name, pattern):
-            return True
-        if rel and fnmatch.fnmatchcase(rel, pattern):
-            return True
-    return False
-
-
 _CHUNK = 1 << 16
+_REGULAR = EntryPermission.REGULAR_FILE.token
+_EXECUTABLE = EntryPermission.EXECUTABLE_FILE.token
+# A link in the last component fails to open, and a FIFO opens without
+# blocking; fstat on the fd then says what was opened.
+_OPEN_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK
 
 
 def _unreadable(path: str, exc: OSError) -> UnreadableError:
@@ -238,60 +237,75 @@ def _lstat_root(path: Union[str, Path]) -> os.stat_result:
         raise NotFoundError(f"{path}: no such file or directory") from None
 
 
-def _read_blob(path: str) -> Iterator[bytes]:
-    """Yield a regular file's blob manifest: its header, then its bytes.
+def _read_file(path: str, sink: Optional[Callable[[bytes], Any]] = None) -> Tuple[int, bytes]:
+    """A regular file's st_mode and the sha1 of its blob manifest.
 
-    The header's length is fstat's on the open fd. A file whose length
-    differs once read to the end changed during the read and raises
-    UnreadableError, as does any OSError, so it never yields an id.
+    sink, if given, receives the manifest: header, then bytes. Mode, size and
+    bytes come from one fd, whose fstat must show a regular file. A file that
+    is not, that reads to another length than its size, or any OSError
+    raises UnreadableError. A file under 64 KiB takes one read.
     """
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            size = os.fstat(fd).st_size
-            yield b"blob %d\x00" % size
-            done = 0
-            while chunk := os.read(fd, _CHUNK):
-                done += len(chunk)
-                yield chunk
-        finally:
-            os.close(fd)
+        fd = os.open(path, _OPEN_FLAGS)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise UnreadableError(f"{path}: not a regular file")
+        size, done = st.st_size, 0
+        header = b"blob %d\x00" % size
+        digest = hashlib.sha1(header)
+        if sink is not None:
+            sink(header)
+        while done <= size:
+            want = min(size + 1 - done, _CHUNK)
+            try:
+                chunk = os.read(fd, want)
+            except OSError as exc:
+                raise _unreadable(path, exc) from exc
+            if not chunk:
+                break
+            digest.update(chunk)
+            if sink is not None:
+                sink(chunk)
+            done += len(chunk)
+            if done == size and len(chunk) < want:
+                break  # a short read reached the size: the end
+    finally:
+        os.close(fd)
     if done != size:
         raise UnreadableError(f"{path}: changed while being read ({done}/{size} bytes)")
+    return st.st_mode, digest.digest()
 
 
-def _scan(path: str, rel: str, excludes: Sequence[str]) -> Iterator[os.DirEntry]:
-    """A directory's entries that are not excluded, in name order."""
+def _scan(path: str, rel: str, excluded) -> Iterator[os.DirEntry]:
+    """A directory's entries whose name and relative path are not excluded, by name."""
     prefix = f"{rel}/" if rel else ""
     try:
         with os.scandir(path) as it:
             kept = [
-                e for e in it if not _is_excluded(e.name, prefix + e.name, excludes)
+                e for e in it
+                if not (excluded and (excluded(e.name) or excluded(prefix + e.name)))
             ]
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    return iter(sorted(kept, key=lambda entry: entry.name))
+    kept.sort(key=lambda entry: entry.name)
+    return iter(kept)
 
 
 def _ingest_leaf(
-    path: str, mode: int, store: ObjectStore
-) -> Tuple[CoreSwhid, EntryPermission]:
-    if stat.S_ISLNK(mode):
+    path: str, is_link: bool, is_file: bool, store: ObjectStore
+) -> Tuple[CoreSwhid, bytes]:
+    if is_link:
         try:
             target = os.readlink(os.fsencode(path))
         except OSError as exc:
             raise _unreadable(path, exc) from exc
-        return store.add(Content(target)), EntryPermission.SYMLINK
-    if not stat.S_ISREG(mode):
-        raise UnsupportedNodeKindError(
-            f"{path}: not a regular file, directory, or symlink"
-        )
-    swhid = store._add_file(path)
-    if mode & stat.S_IXUSR:
-        return swhid, EntryPermission.EXECUTABLE_FILE
-    return swhid, EntryPermission.REGULAR_FILE
+        return store.add(Content(target)), EntryPermission.SYMLINK.token
+    if not is_file:
+        raise UnsupportedNodeKindError(f"{path}: not a regular file, directory, or symlink")
+    return store._add_file(path)
 
 
 def ingest_path(
@@ -315,36 +329,43 @@ def ingest_path(
     if store is None:
         store = ObjectStore()
     if not stat.S_ISDIR(mode):
-        swhid, _ = _ingest_leaf(root, mode, store)
+        swhid, _ = _ingest_leaf(root, stat.S_ISLNK(mode), stat.S_ISREG(mode), store)
         if collect is not None:
             collect.append(("", swhid))
         return swhid, store
-    # Post-order walk, one lstat per entry. A frame is a directory being
-    # read: name, relative path, entries left, entries finished.
-    frames = [("", "", _scan(root, "", excludes), [])]
+    # One regex for all patterns, each anchored as fnmatchcase anchors it.
+    excluded = excludes and re.compile("|".join(map(fnmatch.translate, excludes))).match
+    # Post-order walk. A frame is a directory being read: name, relative
+    # path, entries left, and the (name, mode token, raw id) rows of the
+    # entries finished. Each entry is classified by its scandir type, with
+    # no stat of its own; a file's mode comes from fstat when it is read.
+    # Names from scandir are never empty and hold no '/' or NUL, so rows
+    # skip the checks DirectoryEntry makes for library callers.
+    frames = [("", "", _scan(root, "", excluded), [])]
     while frames:
-        name, rel, children, finished = frames[-1]
+        name, rel, children, rows = frames[-1]
         child = next(children, None)
         if child is None:
             frames.pop()
-            swhid = store.add(Directory(finished))
-            permission = EntryPermission.DIRECTORY
+            swhid = store._add_tree(rows)
+            token = EntryPermission.DIRECTORY.token
         else:
             name = child.name
             rel = f"{rel}/{name}" if rel else name
             try:
-                mode = child.stat(follow_symlinks=False).st_mode
+                is_dir = child.is_dir(follow_symlinks=False)
+                is_link = child.is_symlink()
+                is_file = child.is_file(follow_symlinks=False)
             except OSError as exc:
                 raise _unreadable(child.path, exc) from exc
-            if stat.S_ISDIR(mode):
-                frames.append((name, rel, _scan(child.path, rel, excludes), []))
+            if is_dir:
+                frames.append((name, rel, _scan(child.path, rel, excluded), []))
                 continue
-            swhid, permission = _ingest_leaf(child.path, mode, store)
+            swhid, token = _ingest_leaf(child.path, is_link, is_file, store)
         if collect is not None:
             collect.append((rel, swhid))
         if frames:
-            entry = DirectoryEntry(os.fsencode(name), permission, swhid.object_id)
-            frames[-1][3].append(entry)
+            frames[-1][3].append((os.fsencode(name), token, swhid.object_id.raw))
     return swhid, store
 
 

@@ -14,7 +14,7 @@ import dataclasses
 import enum
 import hashlib
 import re
-from typing import Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     DuplicateNameError,
@@ -84,13 +84,6 @@ class DirectoryEntry:
             raise InvalidNameError(
                 f"directory entry name {self.name!r} contains NUL or '/'"
             )
-
-    @property
-    def sort_key(self) -> bytes:
-        # Directories sort as if their name ended in '/'.
-        if self.permission is EntryPermission.DIRECTORY:
-            return self.name + b"/"
-        return self.name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,13 +253,14 @@ def _content_body(node: Content) -> bytes:
     return node.data
 
 
+def tree_body(rows: Iterable[Tuple[bytes, bytes, bytes]]) -> bytes:
+    """A tree body from unchecked (name, mode token, raw id) rows; a dir sorts as name/."""
+    ordered = sorted(rows, key=lambda r: r[0] + b"/" if r[1] == b"40000" else r[0])
+    return b"".join(b"%s %s\x00%s" % (t, name, raw) for name, t, raw in ordered)
+
+
 def _directory_body(node: Directory) -> bytes:
-    pieces = []
-    for entry in sorted(node.entries, key=lambda e: e.sort_key):
-        pieces.append(
-            b"%s %s\x00%s" % (entry.permission.token, entry.name, entry.target.raw)
-        )
-    return b"".join(pieces)
+    return tree_body((e.name, e.permission.token, e.target.raw) for e in node.entries)
 
 
 def _fold_header_value(value: bytes) -> bytes:

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import importlib.metadata
 import json
@@ -87,6 +88,40 @@ def test_identify_directory_and_json(runner, tmp_path):
     (row,) = json.loads(result.output)
     assert row["path"] == str(tmp_path)
     assert row["swhid"].startswith("swh:1:dir:")
+
+
+def test_identify_json_matches_json_dumps(runner, tmp_path):
+    root = tmp_path / "names"
+    root.mkdir()
+    raw_names = [
+        b'quote"d', b"back\\slash", b"ctl\x01\x1f\t\nend", "caf\u00e9 \u2603 \U0001f600".encode(),
+        b"latin\xe9", b"\xff\xfe",
+    ]
+    for raw in raw_names:
+        with open(os.path.join(os.fsencode(root), raw), "wb") as fh:
+            fh.write(raw)
+    collected = []
+    ingest_path(root, collect=collected)
+    expected = []
+    for rel, swhid in collected:
+        path = os.path.join(str(root), rel) if rel else str(root)
+        row = {"path": path}
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            row["path_b64"] = base64.b64encode(os.fsencode(path)).decode()
+        row["swhid"] = str(swhid)
+        expected.append(row)
+    result = runner.invoke(main, ["identify", "--recursive", "--json", str(root)])
+    assert result.exit_code == 0
+    assert result.output == json.dumps(expected, indent=2) + "\n"
+    rows = json.loads(result.output)
+    with_b64 = [row for row in rows if "path_b64" in row]
+    assert sorted(os.path.basename(base64.b64decode(r["path_b64"])) for r in with_b64) == [
+        b"latin\xe9", b"\xff\xfe"
+    ]
+    for row in with_b64:
+        assert os.fsencode(row["path"]) == base64.b64decode(row["path_b64"])
 
 
 def test_identify_recursive_lists_children_first(runner, tmp_path):

@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 import json
 import os
@@ -237,6 +238,127 @@ def test_ingest_file_changing_mid_read(tmp_path, monkeypatch, change):
     assert isinstance(result.exception, SystemExit)
     assert "changed while being read" in result.output
     assert "Traceback" not in result.output
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every call to os.<name>."""
+    calls = []
+    real = getattr(os, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, name, counted)
+    return calls
+
+
+def test_ingest_reads_each_small_file_once(tmp_path, monkeypatch, oracle):
+    root = tmp_path / "d"
+    make_tree(root)
+    (root / "empty").rmdir()  # git cannot hold an empty directory
+    (root / "empty.txt").write_bytes(b"")
+    (root / "almost").write_bytes(b"z" * ((1 << 16) - 1))
+    regular = [
+        p for p in root.rglob("*") if p.is_file() and not p.is_symlink()
+    ]
+    reads = _counting(monkeypatch, "read")
+    swhid, _ = ingest_path(root)
+    assert len(reads) == len(regular) == 6
+    assert swhid.object_id.hex == oracle.add_worktree_path(root)
+
+
+def test_ingest_streams_large_file_in_chunks(tmp_path, monkeypatch, oracle):
+    data = os.urandom(200 << 10)
+    target = tmp_path / "big.bin"
+    target.write_bytes(data)
+    reads = _counting(monkeypatch, "read")
+    swhid, store = ingest_path(target)
+    # Three full 64 KiB reads, then the 8 KiB rest with one byte to spare.
+    assert [count for _, count in reads] == [1 << 16] * 3 + [(8 << 10) + 1]
+    assert swhid.object_id.hex == oracle.blob_id(data)
+    manifest = store.get(swhid.object_type, swhid.object_id)
+    assert manifest == b"blob %d\x00%s" % (len(data), data)
+
+
+def test_ingest_never_opens_a_fifo(tmp_path, monkeypatch):
+    root = tmp_path / "d"
+    root.mkdir()
+    os.mkfifo(root / "pipe")
+    opened = _counting(monkeypatch, "open")
+    with pytest.raises(UnsupportedNodeKindError):
+        ingest_path(root)
+    assert not any(os.fspath(args[0]).endswith("pipe") for args in opened)
+
+
+def test_ingest_file_swapped_for_symlink(tmp_path, monkeypatch):
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / "victim").write_bytes(b"scanned as a file")
+    (tmp_path / "outside").write_bytes(b"must not be hashed")
+    real = os.open
+
+    def swapping_open(path, *args, **kwargs):
+        # Another process replaces the file between the scan and the open.
+        if os.path.basename(path) == "victim" and not os.path.islink(path):
+            os.unlink(path)
+            os.symlink(tmp_path / "outside", path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", swapping_open)
+    with pytest.raises(UnreadableError, match="victim"):
+        ingest_path(root)
+    os.unlink(root / "victim")
+    (root / "victim").write_bytes(b"scanned as a file")
+    result = CliRunner().invoke(main, ["identify", str(root)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "victim" in result.output
+    assert "Traceback" not in result.output
+
+
+def _walk_excluding(root: Path, patterns) -> set:
+    """The kept relative paths, by the one-fnmatchcase-per-pattern rule."""
+
+    def excluded(name, rel):
+        return any(
+            fnmatch.fnmatchcase(name, p) or fnmatch.fnmatchcase(rel, p)
+            for p in patterns
+        )
+
+    kept = set()
+    for top, dirs, files in os.walk(root):
+        base = os.path.relpath(top, root)
+        for name in list(dirs) + files:
+            rel = name if base == "." else f"{base}/{name}"
+            if excluded(name, rel):
+                if name in dirs:
+                    dirs.remove(name)
+            else:
+                kept.add(rel)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        (),
+        ("*.o",),
+        ("*.o", "build", "docs/*"),
+        ("src/*.c", "[rR]*", "?"),
+        ("*/lib/*", "x*y*z", "docs"),
+        ("src/lib", "a.o", "*[!c]"),
+    ],
+)
+def test_ingest_exclude_matches_per_pattern_fnmatch(tmp_path, patterns):
+    root = tmp_path / "d"
+    make_tree(root)
+    (root / "src" / "lib").mkdir()
+    for rel in ["a.o", "src/main.o", "src/lib/x1y2z", "src/lib/k.c", "build", "q"]:
+        (root / rel).write_bytes(rel.encode())
+    collected = []
+    ingest_path(root, excludes=patterns, collect=collected)
+    assert {rel for rel, _ in collected} - {""} == _walk_excluding(root, patterns)
 
 
 def test_ingest_deep_tree(tmp_path, oracle):
