@@ -6,14 +6,12 @@ anyone holding the object can recompute and check its id without trusting
 a registry.
 """
 from . import errors
+from .describe import NodeDescription, describe_nodes, realize_descriptions
 from .ingest import (
-    NodeDescription,
     ObjectStore,
     VerificationReport,
-    describe_nodes,
     extract_lines,
     ingest_path,
-    realize_descriptions,
     verify_path,
 )
 from .model import (

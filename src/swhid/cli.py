@@ -102,16 +102,22 @@ def identify(paths, force_type, excludes, recursive, jobs, as_json):
             click.echo(f"{s}\t{p}")
 
 
+def _path_b64(path: str) -> dict:
+    """{"path_b64": base64 of its bytes} for a path that is not UTF-8, else {}."""
+    try:
+        path.encode("utf-8")
+        return {}
+    except UnicodeEncodeError:
+        return {"path_b64": base64.b64encode(os.fsencode(path)).decode()}
+
+
 def _json_rows(rows) -> str:
-    """json.dumps(indent=2) of path/swhid dicts (path_b64 if not UTF-8), at C speed."""
+    """json.dumps(indent=2) of path/swhid dicts (plus _path_b64), at C speed."""
     out = []
     for path, swhid in rows:
         encoded = encode_basestring_ascii(path)
-        try:
-            path.encode("utf-8")
-        except UnicodeEncodeError:
-            b64 = base64.b64encode(os.fsencode(path)).decode()
-            encoded += ',\n    "path_b64": "%s"' % b64
+        for key, value in _path_b64(path).items():
+            encoded += ',\n    "%s": "%s"' % (key, value)
         out.append('  {\n    "path": %s,\n    "swhid": "%s"\n  }' % (encoded, swhid))
     return "[\n%s\n]" % ",\n".join(out) if out else "[]"
 
@@ -189,6 +195,7 @@ def verify(identifier, path, excludes, objects_dir, as_json):
                     "detail": [
                         {
                             "path": d.path,
+                            **_path_b64(d.path),
                             "expected": d.expected_hex,
                             "actual": d.actual_hex,
                             "note": d.note,

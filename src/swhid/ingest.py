@@ -5,17 +5,13 @@ one manifest per distinct object (a file is kept as its path, not its
 bytes). Symlinks are never followed: the link target bytes are the content,
 exactly as in version control. verify_path() recomputes an id and, given a
 reference store, walks both trees to localize the divergence. Description
-files let callers mint revision/release/snapshot ids for history they
-describe as JSON.
+documents (swhid.describe) are re-exported from here.
 """
 from __future__ import annotations
 
-import base64
-import binascii
 import dataclasses
 import fnmatch
 import hashlib
-import json
 import os
 import re
 import stat
@@ -23,30 +19,22 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .describe import NodeDescription, describe_nodes, realize_descriptions
 from .errors import (
-    MalformedPersonError,
     NotFoundError,
     RangeOutOfBoundsError,
-    SchemaError,
     StoreError,
     TypeMismatchError,
-    UnknownReferenceError,
     UnreadableError,
     UnsupportedNodeKindError,
 )
 from .model import (
     MANIFEST_KIND_TO_TYPE,
-    BranchKind,
-    BranchTarget,
     Content,
     DagNode,
     EntryPermission,
-    PersonStamp,
-    Release,
-    Revision,
-    Snapshot,
     manifest_of,
-    object_id_of,
+    object_id_of,  # unused here; perfbench's tracer patches swhid.ingest.object_id_of
     tree_body,
 )
 from .syntax import CoreSwhid, LineRange, ObjectId, ObjectType, QualifiedSwhid
@@ -62,8 +50,6 @@ __all__ = [
     "verify_path",
     "extract_lines",
 ]
-
-_HEX40_RE = re.compile(r"\A[0-9a-f]{40}\Z")
 
 
 class ObjectStore:
@@ -523,335 +509,3 @@ def extract_lines(data: bytes, line_range: LineRange) -> bytes:
     if end < count or data.endswith(b"\n"):
         selected += b"\n"
     return selected
-
-
-# --- description files -------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _Ref:
-    """A 'label:<name>' placeholder in an id slot of a description."""
-
-    label: str
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class NodeDescription:
-    """One parsed entry of a description document.
-
-    fields holds normalized values: ObjectId or _Ref in id slots,
-    PersonStamp for identities, bytes for names and messages.
-    """
-
-    kind: ObjectType
-    label: Optional[str]
-    fields: Dict[str, Any]
-
-
-def _want(obj: Dict[str, Any], key: str, types, loc: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"missing required field {key!r}", loc)
-    value = obj[key]
-    if not isinstance(value, types):
-        raise SchemaError(f"field {key!r} has the wrong type", f"{loc}.{key}")
-    return value
-
-
-def _parse_object_id(value: Any, loc: str) -> Union[ObjectId, _Ref]:
-    if not isinstance(value, str):
-        raise SchemaError("object reference must be a string", loc)
-    if value.startswith("label:"):
-        label = value[len("label:") :]
-        if not label:
-            raise SchemaError("empty label reference", loc)
-        return _Ref(label)
-    if not _HEX40_RE.match(value):
-        raise SchemaError(
-            f"{value!r} is neither 40 lowercase hex digits nor 'label:<name>'",
-            loc,
-        )
-    return ObjectId.from_hex(value)
-
-
-def _parse_bytes(
-    obj: Dict[str, Any], key: str, loc: str, required: bool = True
-) -> Optional[bytes]:
-    plain = obj.get(key)
-    encoded = obj.get(f"{key}_b64")
-    if plain is not None and encoded is not None:
-        raise SchemaError(f"both {key!r} and '{key}_b64' given", loc)
-    if plain is not None:
-        if not isinstance(plain, str):
-            raise SchemaError(f"field {key!r} must be a string", f"{loc}.{key}")
-        return plain.encode("utf-8")
-    if encoded is not None:
-        if not isinstance(encoded, str):
-            raise SchemaError(
-                f"field '{key}_b64' must be a string", f"{loc}.{key}_b64"
-            )
-        try:
-            return base64.b64decode(encoded, validate=True)
-        except binascii.Error as exc:
-            raise SchemaError(
-                f"bad base64 in '{key}_b64': {exc}", f"{loc}.{key}_b64"
-            ) from exc
-    if required:
-        raise SchemaError(f"missing required field {key!r}", loc)
-    return None
-
-
-def _parse_person(obj: Dict[str, Any], key: str, loc: str) -> PersonStamp:
-    raw = _parse_bytes(obj, key, loc)
-    date = _want(obj, f"{key}_date", dict, loc)
-    date_loc = f"{loc}.{key}_date"
-    seconds = _want(date, "seconds", int, date_loc)
-    if isinstance(seconds, bool):
-        raise SchemaError("field 'seconds' has the wrong type", date_loc)
-    offset = _want(date, "offset", str, date_loc)
-    try:
-        return PersonStamp(raw, seconds, offset)
-    except MalformedPersonError as exc:
-        raise SchemaError(str(exc), date_loc) from exc
-
-
-def _parse_revision(obj: Dict[str, Any], loc: str) -> Dict[str, Any]:
-    parents_raw = _want(obj, "parents", list, loc)
-    parents = tuple(
-        _parse_object_id(p, f"{loc}.parents[{i}]")
-        for i, p in enumerate(parents_raw)
-    )
-    headers_raw = obj.get("extra_headers", [])
-    if not isinstance(headers_raw, list):
-        raise SchemaError(
-            "field 'extra_headers' must be a list of [key, value] pairs",
-            f"{loc}.extra_headers",
-        )
-    headers = []
-    for i, pair in enumerate(headers_raw):
-        pair_loc = f"{loc}.extra_headers[{i}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(part, str) for part in pair)
-        ):
-            raise SchemaError("expected a [key, value] string pair", pair_loc)
-        headers.append((pair[0].encode("utf-8"), pair[1].encode("utf-8")))
-    return {
-        "tree": _parse_object_id(_want(obj, "tree", str, loc), f"{loc}.tree"),
-        "parents": parents,
-        "author": _parse_person(obj, "author", loc),
-        "committer": _parse_person(obj, "committer", loc),
-        "message": _parse_bytes(obj, "message", loc),
-        "extra_headers": tuple(headers),
-    }
-
-
-def _parse_release(obj: Dict[str, Any], loc: str) -> Dict[str, Any]:
-    type_name = _want(obj, "target_type", str, loc)
-    try:
-        target_type = ObjectType.from_long_name(type_name)
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{loc}.target_type") from exc
-    tagger = None
-    if "tagger" in obj or "tagger_b64" in obj:
-        tagger = _parse_person(obj, "tagger", loc)
-    elif "tagger_date" in obj:
-        raise SchemaError("'tagger_date' given without 'tagger'", loc)
-    return {
-        "target": _parse_object_id(
-            _want(obj, "target", str, loc), f"{loc}.target"
-        ),
-        "target_type": target_type,
-        "name": _parse_bytes(obj, "name", loc),
-        "message": _parse_bytes(obj, "message", loc),
-        "tagger": tagger,
-    }
-
-
-def _parse_snapshot(obj: Dict[str, Any], loc: str) -> Dict[str, Any]:
-    branches_raw = _want(obj, "branches", dict, loc)
-    branches: Dict[bytes, Tuple[BranchKind, Any]] = {}
-    for name, value in branches_raw.items():
-        branch_loc = f"{loc}.branches[{name!r}]"
-        key = name.encode("utf-8")
-        if value is None:
-            branches[key] = (BranchKind.DANGLING, None)
-            continue
-        if not isinstance(value, dict):
-            raise SchemaError("branch must be null or an object", branch_loc)
-        kind_name = _want(value, "target_type", str, branch_loc)
-        try:
-            kind = BranchKind(kind_name)
-        except ValueError as exc:
-            raise SchemaError(
-                f"unknown branch target type {kind_name!r}", branch_loc
-            ) from exc
-        if kind is BranchKind.DANGLING:
-            raise SchemaError(
-                "dangling branches are written as null", branch_loc
-            )
-        if kind is BranchKind.ALIAS:
-            alias = _parse_bytes(value, "target", branch_loc)
-            branches[key] = (kind, alias)
-        else:
-            target = _parse_object_id(
-                _want(value, "target", str, branch_loc), f"{branch_loc}.target"
-            )
-            branches[key] = (kind, target)
-    return {"branches": branches}
-
-
-_DESCRIPTION_PARSERS = {
-    "revision": (ObjectType.REVISION, _parse_revision),
-    "release": (ObjectType.RELEASE, _parse_release),
-    "snapshot": (ObjectType.SNAPSHOT, _parse_snapshot),
-}
-
-
-def _iter_refs(description: NodeDescription):
-    fields = description.fields
-    if description.kind is ObjectType.REVISION:
-        candidates = [fields["tree"], *fields["parents"]]
-    elif description.kind is ObjectType.RELEASE:
-        candidates = [fields["target"]]
-    else:
-        candidates = [payload for _, payload in fields["branches"].values()]
-    for value in candidates:
-        if isinstance(value, _Ref):
-            yield value
-
-
-def describe_nodes(data: bytes) -> List[NodeDescription]:
-    """Parse a JSON description document into normalized node descriptions.
-
-    The document is a list of objects, each with a "type" of revision,
-    release, or snapshot, an optional "label" other entries may reference
-    in id slots as "label:<name>", and the node's fields. Schema problems
-    raise SchemaError with a JSONPath-style location; references to labels
-    defined nowhere in the document raise UnknownReferenceError.
-    """
-    try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, list):
-        raise SchemaError("top-level value must be a list")
-    descriptions: List[NodeDescription] = []
-    labels = set()
-    for index, item in enumerate(document):
-        loc = f"$[{index}]"
-        if not isinstance(item, dict):
-            raise SchemaError("each description must be an object", loc)
-        kind_name = _want(item, "type", str, loc)
-        if kind_name not in _DESCRIPTION_PARSERS:
-            raise SchemaError(
-                f"unknown node type {kind_name!r}"
-                " (expected revision, release, or snapshot)",
-                f"{loc}.type",
-            )
-        label = item.get("label")
-        if label is not None:
-            if not isinstance(label, str) or not label:
-                raise SchemaError(
-                    "label must be a non-empty string", f"{loc}.label"
-                )
-            if label in labels:
-                raise SchemaError(f"duplicate label {label!r}", f"{loc}.label")
-            labels.add(label)
-        kind, parser = _DESCRIPTION_PARSERS[kind_name]
-        descriptions.append(
-            NodeDescription(kind=kind, label=label, fields=parser(item, loc))
-        )
-    for description in descriptions:
-        for ref in _iter_refs(description):
-            if ref.label not in labels:
-                raise UnknownReferenceError(
-                    f"label {ref.label!r} is never defined"
-                )
-    return descriptions
-
-
-def _resolve_ref(value: Any, labels: Dict[str, ObjectId]) -> Any:
-    return labels[value.label] if isinstance(value, _Ref) else value
-
-
-def _build_node(
-    description: NodeDescription, labels: Dict[str, ObjectId]
-) -> DagNode:
-    fields = description.fields
-    if description.kind is ObjectType.REVISION:
-        return Revision(
-            tree=_resolve_ref(fields["tree"], labels),
-            parents=tuple(
-                _resolve_ref(p, labels) for p in fields["parents"]
-            ),
-            author=fields["author"],
-            committer=fields["committer"],
-            message=fields["message"],
-            extra_headers=fields["extra_headers"],
-        )
-    if description.kind is ObjectType.RELEASE:
-        return Release(
-            target=_resolve_ref(fields["target"], labels),
-            target_type=fields["target_type"],
-            name=fields["name"],
-            message=fields["message"],
-            tagger=fields["tagger"],
-        )
-    branches = {}
-    for name, (kind, payload) in fields["branches"].items():
-        if kind is BranchKind.DANGLING:
-            branches[name] = BranchTarget.dangling_ref()
-        elif kind is BranchKind.ALIAS:
-            branches[name] = BranchTarget.to_alias(payload)
-        else:
-            branches[name] = BranchTarget(
-                kind, target=_resolve_ref(payload, labels)
-            )
-    return Snapshot(branches=branches)
-
-
-def realize_descriptions(
-    descriptions: Sequence[NodeDescription],
-    store: Optional[ObjectStore] = None,
-) -> List[Tuple[CoreSwhid, DagNode]]:
-    """Build every described node and compute its id.
-
-    Label references may point forward or backward inside the document;
-    nodes are realized in dependency order (a hash cannot contain itself,
-    so a cycle means a reference can never resolve). Results come back in
-    document order. Nodes are added to store when one is given.
-    """
-    # Kahn's algorithm: a description is ready once every label it names
-    # has been realized.
-    waiting = [{ref.label for ref in _iter_refs(d)} for d in descriptions]
-    dependents: Dict[str, List[int]] = {}
-    for index, needed in enumerate(waiting):
-        for label in needed:
-            dependents.setdefault(label, []).append(index)
-    ready = [index for index, needed in enumerate(waiting) if not needed]
-    labels: Dict[str, ObjectId] = {}
-    results: List[Any] = [None] * len(descriptions)
-    while ready:
-        index = ready.pop()
-        description = descriptions[index]
-        node = _build_node(description, labels)
-        if store is not None:
-            swhid = store.add(node)
-        else:
-            swhid = CoreSwhid(*object_id_of(node))
-        results[index] = (swhid, node)
-        if description.label:
-            labels[description.label] = swhid.object_id
-            for dependent in dependents.pop(description.label, ()):
-                waiting[dependent].discard(description.label)
-                if not waiting[dependent]:
-                    ready.append(dependent)
-    if None in results:
-        unresolved = set().union(
-            *(needed for needed, r in zip(waiting, results) if r is None)
-        )
-        raise UnknownReferenceError(
-            "reference cycle or undefined labels: " + ", ".join(sorted(unresolved))
-        )
-    return results

@@ -275,6 +275,35 @@ def test_verify_json_report(runner, tmp_path):
     assert payload["detail"] == []
 
 
+def test_verify_json_detail_carries_path_b64_for_non_utf8_names(runner, tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    raw_name = b"caf\xe9.txt"  # latin-1 bytes, invalid utf-8
+    raw_path = os.path.join(os.fsencode(root), raw_name)
+    with open(raw_path, "wb") as fh:
+        fh.write(b"original\n")
+    (root / "plain.txt").write_bytes(b"plain\n")
+    swhid, store = ingest_path(root)
+    store.save(tmp_path / "objects")
+    with open(raw_path, "wb") as fh:
+        fh.write(b"tampered\n")
+    (root / "plain.txt").write_bytes(b"changed\n")
+    result = runner.invoke(
+        main,
+        ["verify", "--json", "--objects", str(tmp_path / "objects"), str(swhid), str(root)],
+    )
+    assert result.exit_code == ExitStatus.MISMATCH
+    detail = json.loads(result.stdout)["detail"]
+    assert [list(row) for row in detail] == [
+        ["path", "path_b64", "expected", "actual", "note"],
+        ["path", "expected", "actual", "note"],
+    ]
+    assert detail[0]["path"] == os.fsdecode(raw_name)
+    assert base64.b64decode(detail[0]["path_b64"]) == raw_name
+    assert detail[1]["path"] == "plain.txt"
+    assert all(row["note"] == "differs" for row in detail)
+
+
 def test_verify_snapshot_id_is_usage_error(runner, tmp_path):
     ident = "swh:1:snp:94a9ed024d3859793618152ea559a168bbcbb5e2"
     result = runner.invoke(main, ["verify", ident, str(tmp_path)])
