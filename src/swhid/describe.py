@@ -213,6 +213,7 @@ _KINDS = {
         ("branches", _parse_branches),
     )),
 }
+_ROWS = {row[0]: row for row in _KINDS.values()}  # by NodeDescription.kind
 
 
 def _id_slots(value: Any) -> Sequence[Any]:
@@ -224,7 +225,7 @@ def _id_slots(value: Any) -> Sequence[Any]:
 
 def _references(description: NodeDescription) -> List[str]:
     """The labels a description references, in field order."""
-    id_fields = _KINDS[description.kind.long_name][2]
+    id_fields = _ROWS[description.kind][2]
     return [
         slot
         for key in id_fields
@@ -315,7 +316,7 @@ def realize_descriptions(
     while ready:
         index = ready.pop()
         description = descriptions[index]
-        _, cls, id_fields, _ = _KINDS[description.kind.long_name]
+        _, cls, id_fields, _ = _ROWS[description.kind]
         fields = dict(description.fields)
         for key in id_fields:
             fields[key] = _resolve(fields[key], labels)
