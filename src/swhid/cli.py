@@ -116,8 +116,9 @@ def _json_rows(rows) -> str:
     out = []
     for path, swhid in rows:
         encoded = encode_basestring_ascii(path)
-        for key, value in _path_b64(path).items():
-            encoded += ',\n    "%s": "%s"' % (key, value)
+        if not path.isascii():  # the common ASCII path skips the UTF-8 check
+            for key, value in _path_b64(path).items():
+                encoded += ',\n    "%s": "%s"' % (key, value)
         out.append('  {\n    "path": %s,\n    "swhid": "%s"\n  }' % (encoded, swhid))
     return "[\n%s\n]" % ",\n".join(out) if out else "[]"
 
