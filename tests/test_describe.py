@@ -3,10 +3,6 @@ import json
 
 import pytest
 
-import swhid
-import swhid.describe
-import swhid.ingest
-import swhid.model
 from swhid.errors import SchemaError, UnknownReferenceError
 from swhid.ingest import describe_nodes, realize_descriptions
 
@@ -245,26 +241,3 @@ def test_described_history_matches_git(oracle):
         f"swh:1:rel:{tag}", f"swh:1:rev:{tip}", f"swh:1:rev:{base}"
     ]
 
-
-_PUBLIC_NAMES = [
-    "errors", "ObjectType", "ObjectId", "CoreSwhid", "LineRange", "QualifiedSwhid",
-    "ParseDiagnostic", "SwhidParseError", "parse", "format_swhid", "validate",
-    "Content", "DirectoryEntry", "Directory", "EntryPermission", "PersonStamp",
-    "Revision", "Release", "BranchKind", "BranchTarget", "Snapshot", "content_id",
-    "directory_id", "revision_id", "release_id", "snapshot_id", "manifest_of",
-    "object_id_of", "swhid_of", "ObjectStore", "NodeDescription",
-    "VerificationReport", "ingest_path", "describe_nodes", "realize_descriptions",
-    "verify_path", "extract_lines", "ResolverKind", "ResolverConfig",
-    "ResolvedMetadata", "resolver_url", "resolve_metadata", "fetch_content_verified",
-    "__version__",
-]
-
-
-def test_public_names_and_reexports():
-    assert swhid.__all__ == _PUBLIC_NAMES
-    for name in ("NodeDescription", "describe_nodes", "realize_descriptions"):
-        assert getattr(swhid, name) is getattr(swhid.describe, name)
-        assert getattr(swhid.ingest, name) is getattr(swhid.describe, name)
-    # perfbench's tracer patches these two on swhid.ingest by name.
-    assert swhid.ingest.manifest_of is swhid.model.manifest_of
-    assert swhid.ingest.object_id_of is swhid.model.object_id_of
