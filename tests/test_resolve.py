@@ -1,5 +1,9 @@
-import pytest
+import functools
 
+import pytest
+from click.testing import CliRunner
+
+from swhid.cli import main
 from swhid.errors import (
     IntegrityMismatchError,
     NotFoundInArchiveError,
@@ -158,3 +162,31 @@ def test_resolve_metadata_rejects_non_json(archive):
     archive.garbage_resolve = True
     with pytest.raises(TransportError):
         resolve_metadata(swhid, archive.endpoint)
+
+
+MALFORMED_ENDPOINTS = [
+    "foo",
+    "file:///etc",
+    "ftp://127.0.0.1/",
+    "http://[::1",
+    "http://127.0.0.1:abc",
+]
+
+
+@pytest.mark.parametrize("endpoint", MALFORMED_ENDPOINTS)
+def test_malformed_endpoint_is_transport_error(endpoint):
+    with pytest.raises(TransportError):
+        resolve_metadata(parse(CNT), endpoint, sleep=lambda _: None)
+
+
+@pytest.mark.parametrize("endpoint", MALFORMED_ENDPOINTS)
+def test_malformed_endpoint_exits_3_without_traceback(endpoint, monkeypatch):
+    no_wait = functools.partial(resolve_metadata, sleep=lambda _: None)
+    monkeypatch.setattr("swhid.cli.resolve_metadata", no_wait)
+    result = CliRunner().invoke(
+        main, ["resolve", "--check", "--endpoint", endpoint, CNT]
+    )
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("swhid: ")
+    assert "Traceback" not in result.stderr
