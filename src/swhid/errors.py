@@ -117,12 +117,15 @@ class TransportError(ResolveError):
 
 
 class IntegrityMismatchError(ResolveError):
-    """Fetched bytes do not hash back to the requested identifier."""
+    """Fetched bytes, or the archive's metadata, name another object."""
     exit_status = ExitStatus.MISMATCH
 
-    def __init__(self, expected_hex: str, actual_hex: str):
-        super().__init__(
-            f"fetched bytes hash to {actual_hex}, expected {expected_hex}"
-        )
+    def __init__(
+        self,
+        expected_hex: str,
+        actual_hex: str,
+        claim: str = "fetched bytes hash to",
+    ):
+        super().__init__(f"{claim} {actual_hex}, expected {expected_hex}")
         self.expected_hex = expected_hex
         self.actual_hex = actual_hex

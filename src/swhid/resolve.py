@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import json
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
+from urllib.parse import urlsplit
 
 from .errors import (
     IntegrityMismatchError,
@@ -21,9 +24,6 @@ from .errors import (
 )
 from .model import Content, content_id
 from .syntax import CoreSwhid, ObjectType, QualifiedSwhid
-
-if TYPE_CHECKING:
-    import requests
 
 __all__ = [
     "ResolverKind",
@@ -90,38 +90,113 @@ def resolver_url(
     raise ValueError(f"unknown resolver kind {kind!r}")
 
 
+_SCHEMES = ("http", "https")
+# A resolve payload is a few hundred bytes; a hostile archive must not be
+# able to make the client hold an endless one.
+_METADATA_LIMIT = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _opener():
+    """One opener per process, as urlopen keeps, for http and https only.
+
+    Building one reads the *_proxy variables and costs ~0.6 ms, about as
+    much as a whole GET from a local archive. With no file, ftp or data
+    handler installed, no other scheme can be opened, and a redirect to
+    one is refused.
+    """
+    import urllib.request
+    from urllib.error import HTTPError
+
+    class Redirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if urlsplit(newurl).scheme not in _SCHEMES:
+                raise HTTPError(
+                    newurl, code, f"redirect to {newurl} refused", headers, fp
+                )
+            # urllib drains a redirect's body before following it; a
+            # hostile one need not end, so it is dropped unread instead.
+            fp.close()
+            return super().redirect_request(
+                req, fp, code, msg, headers, newurl
+            )
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        Redirects(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
+def _read(response, limit: Optional[int]) -> Optional[bytes]:
+    """The body of response, or None if it is longer than limit bytes.
+
+    At most limit + 1 bytes are read, and a declared length over the limit
+    is refused unread. A body shorter than its declared length raises
+    http.client.IncompleteRead.
+    """
+    length = response.length  # None unless the server sent Content-Length
+    if limit is None or (length is not None and length <= limit):
+        return response.read()
+    if length is not None:
+        return None
+    body = response.read(limit + 1)
+    return body if len(body) <= limit else None
+
+
 def _get(
     url: str,
-    session: Optional[requests.Session],
     timeout: float,
     retries: int,
     backoff: float,
     sleep: Callable[[float], None],
-) -> requests.Response:
-    """GET with retries on transport errors and 5xx only.
+    limit: Optional[int] = None,
+) -> bytes:
+    """GET url's body, with retries on transport errors and 5xx only.
 
-    404 is a definitive answer (NotFoundInArchive); other 4xx are reported
-    as transport failures without retrying, since repeating a rejected
-    request cannot help.
+    404 is a definitive answer (NotFoundInArchive). Other 4xx, a redirect
+    that is not followed, a body over limit bytes and a URL that is not
+    http or https are reported as transport failures without retrying,
+    since repeating the request cannot help.
     """
     # Imported here: identify, verify and parse never touch the network,
-    # and importing requests would double their start-up time.
-    import requests
+    # and importing urllib.request would add ~30 ms to their start-up.
+    from http.client import HTTPException
+    from urllib.error import HTTPError
 
-    get = session.get if session is not None else requests.get
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number
+    except ValueError as exc:
+        raise TransportError(f"GET {url}: {exc}") from exc
+    if parts.scheme not in _SCHEMES or not parts.hostname:
+        raise TransportError(f"GET {url}: not an http or https URL")
+    opener = _opener()
     for attempt in range(max(retries, 0) + 1):
         if attempt:
             sleep(backoff * 2 ** (attempt - 1))
         try:
-            response = get(url, timeout=timeout)
-        except requests.RequestException as exc:
-            failure, cause = f"GET {url}: {exc}", exc
+            with opener.open(url, timeout=timeout) as response:
+                body = _read(response, limit)
+        except HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, HTTPException, ValueError) as exc:
+            reason = getattr(exc, "reason", exc)
+            failure, cause = f"GET {url}: {reason}", exc
             continue
-        status = response.status_code
+        else:
+            if body is None:
+                raise TransportError(f"GET {url}: body over {limit} bytes")
+            return body
         if status == 404:
             raise NotFoundInArchiveError(f"{url}: not found in archive")
-        if status < 400:
-            return response
         failure, cause = f"GET {url}: HTTP {status}", None
         if status < 500:
             break
@@ -133,7 +208,6 @@ def resolve_metadata(
     endpoint: Optional[str] = None,
     *,
     config: ResolverConfig = DEFAULT_CONFIG,
-    session: Optional[requests.Session] = None,
     timeout: float = 30.0,
     retries: int = 2,
     backoff: float = 0.5,
@@ -142,19 +216,25 @@ def resolve_metadata(
     """Ask the archive's resolve endpoint what it knows about swhid.
 
     Raises NotFoundInArchiveError for unknown ids, TypeContradictionError
-    when the archive reports the object under a different type, and
-    TransportError after retries are exhausted.
+    when the archive reports the object under a different type,
+    IntegrityMismatchError when it reports another object id, and
+    TransportError after retries are exhausted or for a body over 1 MiB.
     """
     core = swhid.core if isinstance(swhid, QualifiedSwhid) else swhid
     base = (endpoint or config.archive_url).rstrip("/")
     url = base + config.resolve_path.format(swhid=core)
-    response = _get(url, session, timeout, retries, backoff, sleep)
+    body = _get(url, timeout, retries, backoff, sleep, _METADATA_LIMIT)
     try:
-        payload = response.json()
+        payload = json.loads(body)
     except ValueError as exc:
         raise TransportError(f"GET {url}: body is not JSON") from exc
     if not isinstance(payload, dict):
         raise TransportError(f"GET {url}: unexpected response shape")
+    reported_id = payload.get("object_id")
+    if reported_id is not None and reported_id != core.object_id.hex:
+        raise IntegrityMismatchError(
+            core.object_id.hex, str(reported_id), claim="archive reports object"
+        )
     reported = payload.get("object_type")
     confirmed = False
     if reported is not None:
@@ -181,7 +261,6 @@ def fetch_content_verified(
     endpoint: Optional[str] = None,
     *,
     config: ResolverConfig = DEFAULT_CONFIG,
-    session: Optional[requests.Session] = None,
     timeout: float = 30.0,
     retries: int = 2,
     backoff: float = 0.5,
@@ -201,8 +280,7 @@ def fetch_content_verified(
         )
     base = (endpoint or config.archive_url).rstrip("/")
     url = base + config.content_path.format(hex=core.object_id.hex)
-    response = _get(url, session, timeout, retries, backoff, sleep)
-    data = response.content
+    data = _get(url, timeout, retries, backoff, sleep)
     actual = content_id(Content(data))
     if actual != core.object_id:
         raise IntegrityMismatchError(core.object_id.hex, actual.hex)

@@ -31,17 +31,44 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
-    def _send(self, status: int, body: bytes, content_type: str):
+    def _write(self, data: bytes) -> bool:
+        # A client that stops reading early closes its end; that is the
+        # behaviour under test, not a server fault.
+        try:
+            self.wfile.write(data)
+        except ConnectionError:
+            return False
+        return True
+
+    def _send(self, status: int, body: bytes, content_type: str, **headers):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        length = len(body) + self.server.archive.short_by
+        self.send_header("Content-Length", str(length))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        self._write(body)
+
+    def _send_endless(self):
+        archive = self.server.archive
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        chunk = b" " * 65536
+        while archive.endless_sent < archive.ENDLESS_CAP:
+            if not self._write(chunk):
+                return
+            archive.endless_sent += len(chunk)
 
     def do_GET(self):
         archive = self.server.archive
         path = self.path
-        if path.startswith("/api/1/resolve/"):
+        if archive.redirect_to is not None and path.startswith("/old/"):
+            archive.redirects += 1
+            location = archive.redirect_to + path[len("/old") :]
+            self._send(302, b"moved", "text/plain", Location=location)
+        elif path.startswith("/api/1/resolve/"):
             archive.resolve_requests += 1
             if archive.fail_resolve > 0:
                 archive.fail_resolve -= 1
@@ -50,12 +77,16 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
             if archive.garbage_resolve:
                 self._send(200, b"<html>not json</html>", "text/html")
                 return
+            if archive.endless_resolve:
+                self._send_endless()
+                return
             key = path[len("/api/1/resolve/") :].rstrip("/")
             payload = archive.metadata.get(key)
             if payload is None:
                 self._send(404, b"{}", "application/json")
                 return
-            self._send(200, json.dumps(payload).encode(), "application/json")
+            body = json.dumps(payload).encode() + b" " * archive.resolve_padding
+            self._send(200, body, "application/json")
         elif path.startswith("/api/1/content/sha1_git:") and path.endswith(
             "/raw/"
         ):
@@ -86,7 +117,16 @@ class MockArchive:
     identifier strings to resolve-endpoint payloads. corrupt_every=N flips
     a byte in every Nth raw response; fail_raw/fail_resolve serve that
     many 500s before succeeding.
+
+    Hostile modes: redirect_to=BASE answers every /old/PATH with a 302 to
+    BASE/PATH; short_by=N declares N more bytes than each body holds;
+    resolve_padding=N appends N spaces to resolve payloads; and
+    endless_resolve streams a resolve body without a length until the
+    client hangs up (or ENDLESS_CAP bytes, so a client that reads it all
+    still ends).
     """
+
+    ENDLESS_CAP = 64 << 20
 
     def __init__(self):
         self.contents = {}
@@ -95,12 +135,18 @@ class MockArchive:
         self.fail_raw = 0
         self.fail_resolve = 0
         self.garbage_resolve = False
+        self.redirect_to = None
+        self.short_by = 0
+        self.resolve_padding = 0
+        self.endless_resolve = False
+        self.endless_sent = 0
+        self.redirects = 0
         self.raw_requests = 0
         self.resolve_requests = 0
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _ArchiveHandler)
         self._server.archive = self
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever, args=(0.05,), daemon=True
         )
         self._thread.start()
 

@@ -1,4 +1,5 @@
 import base64
+import functools
 import hashlib
 import importlib.metadata
 import json
@@ -12,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import swhid
+import swhid.cli
 import swhid.errors as errors
 from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
@@ -382,6 +384,73 @@ def test_resolve_check_type_contradiction_is_mismatch(runner, archive):
     assert result.exit_code == ExitStatus.MISMATCH
 
 
+def test_resolve_check_other_object_id_is_mismatch(runner, archive):
+    swhid = archive.add_content(b"odd\n")
+    archive.metadata[str(swhid)]["object_id"] = "0" * 40
+    result = runner.invoke(
+        main,
+        ["resolve", "--check", "--endpoint", archive.endpoint, str(swhid)],
+    )
+    assert result.exit_code == ExitStatus.MISMATCH
+    assert "known to archive" not in result.output
+    assert result.stderr.startswith("swhid: archive reports object 0000")
+
+
+def _no_backoff(monkeypatch):
+    for name in ("resolve_metadata", "fetch_content_verified"):
+        call = getattr(swhid.cli, name)
+        no_wait = functools.partial(call, sleep=lambda _: None)
+        monkeypatch.setattr(swhid.cli, name, no_wait)
+
+
+@pytest.mark.parametrize(
+    "mode, value",
+    [
+        ("short_by", 10),
+        ("resolve_padding", 2 << 20),
+        ("endless_resolve", True),
+    ],
+)
+def test_resolve_hostile_archive_exits_3(
+    runner, archive, tmp_path, monkeypatch, mode, value
+):
+    swhid = archive.add_content(b"the payload\n")
+    setattr(archive, mode, value)
+    _no_backoff(monkeypatch)
+    out = tmp_path / "out.bin"
+    result = runner.invoke(
+        main,
+        [
+            "resolve",
+            "--check",
+            "--fetch",
+            str(out),
+            "--endpoint",
+            archive.endpoint,
+            str(swhid),
+        ],
+    )
+    assert result.exit_code == ExitStatus.IO_ERROR, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_resolve_fetch_short_body_exits_3(runner, archive, tmp_path, monkeypatch):
+    swhid = archive.add_content(b"the payload\n")
+    archive.short_by = 10
+    _no_backoff(monkeypatch)
+    out = tmp_path / "out.bin"
+    result = runner.invoke(
+        main,
+        ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)],
+    )
+    assert result.exit_code == ExitStatus.IO_ERROR, result.output
+    assert "Traceback" not in result.stderr
+    assert archive.raw_requests == 3
+    assert not out.exists()
+
+
 def test_resolve_fetch_writes_verified_bytes(runner, archive, tmp_path):
     swhid = archive.add_content(b"the payload\n")
     out = tmp_path / "fetched.bin"
@@ -635,14 +704,19 @@ def test_version_matches_pyproject():
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # identify/verify/parse never touch the network; importing requests
-    # would double their start-up time.
+    # identify/verify/parse never touch the network, and history only
+    # imports swhid; the HTTP stack would add ~30 ms to their start-up.
     src = Path(swhid.__file__).resolve().parents[1]
-    probe = "import sys, swhid.cli; print('requests' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        check=True,
-    )
-    assert out.stdout.strip() == b"False"
+    network = ("requests", "urllib.request", "http.client")
+    for module in ("swhid", "swhid.cli"):
+        probe = (
+            f"import sys, {module}; "
+            f"print([m for m in {network!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            check=True,
+        )
+        assert out.stdout.strip() == b"[]", module

@@ -1,4 +1,6 @@
 import functools
+import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -190,3 +192,99 @@ def test_malformed_endpoint_exits_3_without_traceback(endpoint, monkeypatch):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("swhid: ")
     assert "Traceback" not in result.stderr
+
+
+def test_fetch_follows_redirect_and_verifies(archive, gpl3_bytes):
+    swhid = archive.add_content(gpl3_bytes)
+    archive.redirect_to = archive.endpoint
+    moved = archive.endpoint + "/old"
+    assert fetch_content_verified(swhid, moved) == gpl3_bytes
+    assert archive.redirects == 1
+    assert archive.raw_requests == 1
+
+
+def test_redirected_corruption_is_still_caught(archive):
+    swhid = archive.add_content(b"important bytes\n")
+    archive.redirect_to = archive.endpoint
+    archive.corrupt_every = 1
+    with pytest.raises(IntegrityMismatchError):
+        fetch_content_verified(swhid, archive.endpoint + "/old")
+
+
+@pytest.mark.parametrize("target", ["file://", "ftp://127.0.0.1"])
+def test_redirect_off_http_is_refused(archive, target):
+    swhid = archive.add_content(b"hello\n")
+    archive.redirect_to = target
+    naps = []
+    with pytest.raises(TransportError, match="HTTP 302"):
+        fetch_content_verified(
+            swhid, archive.endpoint + "/old", sleep=naps.append
+        )
+    assert archive.redirects == 1
+    assert naps == []
+
+
+def test_short_body_is_transport_error_after_retries(archive):
+    swhid = archive.add_content(b"the payload\n")
+    archive.short_by = 10
+    naps = []
+    with pytest.raises(TransportError):
+        fetch_content_verified(swhid, archive.endpoint, sleep=naps.append)
+    assert archive.raw_requests == 3
+    assert len(naps) == 2
+
+
+def test_short_metadata_body_is_transport_error(archive):
+    swhid = archive.add_content(b"x")
+    archive.short_by = 10
+    with pytest.raises(TransportError):
+        resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
+    assert archive.resolve_requests == 3
+
+
+def test_oversized_metadata_is_refused_unread(archive):
+    swhid = archive.add_content(b"x")
+    archive.resolve_padding = 1 << 20  # valid JSON, one MiB of spaces
+    with pytest.raises(TransportError, match="over 1048576 bytes"):
+        resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
+    assert archive.resolve_requests == 1
+
+
+def test_metadata_of_exactly_the_limit_is_read(archive):
+    swhid = archive.add_content(b"x")
+    payload = json.dumps(archive.metadata[str(swhid)]).encode()
+    archive.resolve_padding = (1 << 20) - len(payload)
+    assert resolve_metadata(swhid, archive.endpoint).object_type_confirmed
+
+
+def test_endless_metadata_is_refused_without_holding_it(archive):
+    swhid = archive.add_content(b"x")
+    archive.endless_resolve = True
+    tracemalloc.start()
+    try:
+        with pytest.raises(TransportError, match="over 1048576 bytes"):
+            resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert archive.resolve_requests == 1
+
+
+def test_metadata_naming_another_object_is_a_mismatch(archive):
+    swhid = archive.add_content(b"hello\n")
+    other = "0" * 40
+    archive.metadata[str(swhid)]["object_id"] = other
+    with pytest.raises(IntegrityMismatchError) as excinfo:
+        resolve_metadata(swhid, archive.endpoint)
+    assert excinfo.value.expected_hex == swhid.object_id.hex
+    assert excinfo.value.actual_hex == other
+    assert str(excinfo.value) == (
+        f"archive reports object {other}, expected {swhid.object_id.hex}"
+    )
+
+
+def test_metadata_without_object_id_is_still_confirmed(archive):
+    swhid = archive.add_content(b"hello\n")
+    del archive.metadata[str(swhid)]["object_id"]
+    assert resolve_metadata(swhid, archive.endpoint).object_type_confirmed
