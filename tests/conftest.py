@@ -50,10 +50,12 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self._write(body)
 
-    def _send_endless(self):
+    def _send_endless(self, status: int, content_type: str, **headers):
         archive = self.server.archive
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         chunk = b" " * 65536
         while archive.endless_sent < archive.ENDLESS_CAP:
@@ -67,7 +69,10 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
         if archive.redirect_to is not None and path.startswith("/old/"):
             archive.redirects += 1
             location = archive.redirect_to + path[len("/old") :]
-            self._send(302, b"moved", "text/plain", Location=location)
+            if archive.endless:
+                self._send_endless(302, "text/plain", Location=location)
+            else:
+                self._send(302, b"moved", "text/plain", Location=location)
         elif path.startswith("/api/1/resolve/"):
             archive.resolve_requests += 1
             if archive.fail_resolve > 0:
@@ -77,8 +82,8 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
             if archive.garbage_resolve:
                 self._send(200, b"<html>not json</html>", "text/html")
                 return
-            if archive.endless_resolve:
-                self._send_endless()
+            if archive.endless:
+                self._send_endless(200, "application/json")
                 return
             key = path[len("/api/1/resolve/") :].rstrip("/")
             payload = archive.metadata.get(key)
@@ -120,10 +125,10 @@ class MockArchive:
 
     Hostile modes: redirect_to=BASE answers every /old/PATH with a 302 to
     BASE/PATH; short_by=N declares N more bytes than each body holds;
-    resolve_padding=N appends N spaces to resolve payloads; and
-    endless_resolve streams a resolve body without a length until the
-    client hangs up (or ENDLESS_CAP bytes, so a client that reads it all
-    still ends).
+    resolve_padding=N appends N spaces to resolve payloads; and endless
+    streams resolve and redirect bodies without a length until the client
+    hangs up (or ENDLESS_CAP bytes, so a client that reads it all still
+    ends).
     """
 
     ENDLESS_CAP = 64 << 20
@@ -138,7 +143,7 @@ class MockArchive:
         self.redirect_to = None
         self.short_by = 0
         self.resolve_padding = 0
-        self.endless_resolve = False
+        self.endless = False
         self.endless_sent = 0
         self.redirects = 0
         self.raw_requests = 0

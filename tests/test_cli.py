@@ -408,7 +408,7 @@ def _no_backoff(monkeypatch):
     [
         ("short_by", 10),
         ("resolve_padding", 2 << 20),
-        ("endless_resolve", True),
+        ("endless", True),
     ],
 )
 def test_resolve_hostile_archive_exits_3(

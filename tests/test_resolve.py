@@ -257,18 +257,38 @@ def test_metadata_of_exactly_the_limit_is_read(archive):
     assert resolve_metadata(swhid, archive.endpoint).object_type_confirmed
 
 
-def test_endless_metadata_is_refused_without_holding_it(archive):
-    swhid = archive.add_content(b"x")
-    archive.endless_resolve = True
+def _peak_memory(call):
     tracemalloc.start()
     try:
-        with pytest.raises(TransportError, match="over 1048576 bytes"):
-            resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+
+
+def test_endless_metadata_is_refused_without_holding_it(archive):
+    swhid = archive.add_content(b"x")
+    archive.endless = True
+
+    def resolve():
+        with pytest.raises(TransportError, match="over 1048576 bytes"):
+            resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
+
+    assert _peak_memory(resolve) < 4 << 20
     assert archive.resolve_requests == 1
+
+
+def test_redirect_body_is_not_drained(archive):
+    swhid = archive.add_content(b"hello\n")
+    archive.redirect_to = archive.endpoint
+    archive.endless = True
+
+    def fetch():
+        moved = archive.endpoint + "/old"
+        assert fetch_content_verified(swhid, moved) == b"hello\n"
+
+    assert _peak_memory(fetch) < 4 << 20
+    assert archive.redirects == 1
 
 
 def test_metadata_naming_another_object_is_a_mismatch(archive):
