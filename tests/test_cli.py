@@ -704,8 +704,9 @@ def test_version_matches_pyproject():
 
 
 def test_cli_import_leaves_requests_unloaded():
-    # identify/verify/parse never touch the network, and history only
-    # imports swhid; the HTTP stack would add ~30 ms to their start-up.
+    # identify/verify/parse never touch the network, and library users
+    # who only mint ids import swhid; the HTTP stack would add ~30 ms to
+    # their start-up.
     src = Path(swhid.__file__).resolve().parents[1]
     network = ("requests", "urllib.request", "http.client")
     for module in ("swhid", "swhid.cli"):
