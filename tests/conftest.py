@@ -2,6 +2,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -66,6 +67,9 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         archive = self.server.archive
         path = self.path
+        if not path.startswith("/"):  # absolute form: asked as a proxy
+            archive.proxied += 1
+            path = urlsplit(path).path
         if archive.redirect_to is not None and path.startswith("/old/"):
             archive.redirects += 1
             location = archive.redirect_to + path[len("/old") :]
@@ -129,6 +133,10 @@ class MockArchive:
     streams resolve and redirect bodies without a length until the client
     hangs up (or ENDLESS_CAP bytes, so a client that reads it all still
     ends).
+
+    A request in absolute form (GET http://host/path) is served as if it
+    were for /path and counted in proxied, so the archive doubles as a
+    forward proxy in front of any host name.
     """
 
     ENDLESS_CAP = 64 << 20
@@ -148,6 +156,7 @@ class MockArchive:
         self.redirects = 0
         self.raw_requests = 0
         self.resolve_requests = 0
+        self.proxied = 0
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _ArchiveHandler)
         self._server.archive = self
         self._thread = threading.Thread(

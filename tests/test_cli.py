@@ -19,6 +19,8 @@ from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
 
+from conftest import MockArchive
+
 GPL3_ID = "swh:1:cnt:94a9ed024d3859793618152ea559a168bbcbb5e2"
 
 
@@ -495,6 +497,46 @@ def test_resolve_fetch_requires_content_id(runner, tmp_path):
         main, ["resolve", "--fetch", str(tmp_path / "x"), ident]
     )
     assert result.exit_code == ExitStatus.USAGE
+
+
+def _cli_child(args, flags=(), **env):
+    """Run python [flags] -m swhid.cli args; no *_proxy variables but env's."""
+    src = Path(swhid.__file__).resolve().parents[1]
+    base = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "swhid.cli", *args],
+        env=dict(base, PYTHONPATH=str(src), **env),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_resolve_goes_through_http_proxy(archive):
+    swhid = archive.add_content(b"proxied\n")
+    child = _cli_child(
+        ["resolve", "--check", "--endpoint", "http://archive.invalid", str(swhid)],
+        http_proxy=archive.endpoint,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "known to archive" in child.stdout
+    assert archive.proxied == 1
+
+
+def test_resolve_bypasses_proxy_for_no_proxy_hosts(archive):
+    swhid = archive.add_content(b"direct\n")
+    proxy = MockArchive()
+    try:
+        child = _cli_child(
+            ["resolve", "--check", "--endpoint", archive.endpoint, str(swhid)],
+            http_proxy=proxy.endpoint,
+            no_proxy="127.0.0.1",
+        )
+    finally:
+        proxy.close()
+    assert child.returncode == 0, child.stderr
+    assert proxy.proxied == 0 and proxy.resolve_requests == 0
+    assert archive.resolve_requests == 1 and archive.proxied == 0
 
 
 def test_resolve_bad_identifier(runner):
