@@ -19,7 +19,13 @@ import click
 
 from . import __version__
 from .errors import ExitStatus, SwhidError
-from .ingest import ObjectStore, extract_lines, ingest_path, verify_path
+from .ingest import (
+    ObjectStore,
+    extract_lines,
+    ingest_path,
+    verify_path,
+    write_atomically,
+)
 from .model import Content, content_id
 from .resolve import (
     ResolverKind,
@@ -268,7 +274,7 @@ def resolve(identifier, resolver, check, fetch_to, endpoint, as_json):
     if fetch_to is not None:
         data = fetch_content_verified(value.core, endpoint)
         try:
-            Path(fetch_to).write_bytes(data)
+            write_atomically(Path(fetch_to), lambda write: write(data))
         except OSError as exc:
             _fail(ExitStatus.IO_ERROR, f"{fetch_to}: {exc.strerror or exc}")
         info["written"] = fetch_to

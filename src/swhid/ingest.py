@@ -52,6 +52,23 @@ __all__ = [
 ]
 
 
+def write_atomically(path: Path, emit: Callable[[Callable[[bytes], Any]], None]) -> None:
+    """Write what emit passes to its write argument into path.
+
+    The bytes go to .NAME.partial beside path first and are renamed into
+    place, so a failed write removes the partial file and leaves any
+    earlier copy of path intact.
+    """
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "wb") as out:
+            emit(out.write)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 class ObjectStore:
     """In-memory map from (object type, object id) to manifest bytes.
 
@@ -154,14 +171,10 @@ class ObjectStore:
             hexid = object_id.hex
             bucket = base / hexid[:2]
             bucket.mkdir(parents=True, exist_ok=True)
-            partial = bucket / f".{hexid[2:]}.partial"
-            try:
-                with open(partial, "wb") as out:
-                    self._emit(object_id, value, out.write)
-            except BaseException:
-                partial.unlink(missing_ok=True)
-                raise
-            os.replace(partial, bucket / hexid[2:])
+            write_atomically(
+                bucket / hexid[2:],
+                lambda write: self._emit(object_id, value, write),
+            )
 
     @classmethod
     def load(cls, root: Union[str, Path]) -> "ObjectStore":

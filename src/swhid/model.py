@@ -351,7 +351,11 @@ def swhid_of(node: DagNode) -> CoreSwhid:
 
 
 def content_id(node: Content) -> ObjectId:
-    return object_id_of(node)[1]
+    """The id of node, hashing its bytes in place: no manifest is built,
+    so a large content is not held twice."""
+    sha = hashlib.sha1(b"blob %d\x00" % len(node.data))
+    sha.update(node.data)
+    return ObjectId(sha.digest())
 
 
 def directory_id(node: Directory) -> ObjectId:

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -29,8 +30,22 @@ def session_oracle(tmp_path_factory) -> GitOracle:
 
 
 class _ArchiveHandler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        archive = self.server.archive
+        archive.connections += 1
+        archive._sockets.append(self.connection)
+
     def log_message(self, *args):
         pass
+
+    def handle(self):
+        # A client that closes a kept-alive connection with a response
+        # unread resets it; that is the behaviour under test, not a fault.
+        try:
+            super().handle()
+        except ConnectionError:
+            pass
 
     def _write(self, data: bytes) -> bool:
         # A client that stops reading early closes its end; that is the
@@ -64,11 +79,20 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
                 return
             archive.endless_sent += len(chunk)
 
+    def do_CONNECT(self):
+        archive = self.server.archive
+        archive.tunnels.append(self.path)
+        archive.proxy_auth.append(self.headers.get("Proxy-Authorization"))
+        self._send(403, b"no tunnels here", "text/plain")
+
     def do_GET(self):
         archive = self.server.archive
+        if archive.drop:  # close after this response, without saying so
+            self.close_connection = True
         path = self.path
         if not path.startswith("/"):  # absolute form: asked as a proxy
             archive.proxied += 1
+            archive.proxy_auth.append(self.headers.get("Proxy-Authorization"))
             path = urlsplit(path).path
         if archive.redirect_to is not None and path.startswith("/old/"):
             archive.redirects += 1
@@ -119,6 +143,14 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
             self._send(404, b"not found", "text/plain")
 
 
+class _KeepAliveHandler(_ArchiveHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # body of a response on a reused connection would wait ~40 ms for the
+    # client's delayed ACK.
+    disable_nagle_algorithm = True
+
+
 class MockArchive:
     """Stand-in for the archive REST API on 127.0.0.1.
 
@@ -136,12 +168,20 @@ class MockArchive:
 
     A request in absolute form (GET http://host/path) is served as if it
     were for /path and counted in proxied, so the archive doubles as a
-    forward proxy in front of any host name.
+    forward proxy in front of any host name; a CONNECT is refused with a
+    403. Both record their Proxy-Authorization header in proxy_auth, and
+    CONNECT its target in tunnels.
+
+    The archive answers in HTTP/1.0 and closes each connection, which
+    short_by relies on. keep_alive=True answers in HTTP/1.1 and keeps
+    connections open; drop=True then closes each one after its response
+    without a Connection: close header, as a server does that drops idle
+    connections. connections counts the connections accepted.
     """
 
     ENDLESS_CAP = 64 << 20
 
-    def __init__(self):
+    def __init__(self, keep_alive: bool = False):
         self.contents = {}
         self.metadata = {}
         self.corrupt_every = 0
@@ -157,7 +197,13 @@ class MockArchive:
         self.raw_requests = 0
         self.resolve_requests = 0
         self.proxied = 0
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _ArchiveHandler)
+        self.proxy_auth = []
+        self.tunnels = []
+        self.drop = False
+        self.connections = 0
+        self._sockets = []
+        handler = _KeepAliveHandler if keep_alive else _ArchiveHandler
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self._server.archive = self
         self._thread = threading.Thread(
             target=self._server.serve_forever, args=(0.05,), daemon=True
@@ -189,10 +235,24 @@ class MockArchive:
     def close(self):
         self._server.shutdown()
         self._server.server_close()
+        # A kept-alive connection would otherwise stay served by this
+        # archive after a later one took over its port.
+        for sock in self._sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 @pytest.fixture
 def archive():
     server = MockArchive()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_archive():
+    server = MockArchive(keep_alive=True)
     yield server
     server.close()

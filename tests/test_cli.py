@@ -1,4 +1,5 @@
 import base64
+import errno
 import functools
 import hashlib
 import importlib.metadata
@@ -491,6 +492,39 @@ def test_resolve_fetch_corrupted_writes_nothing(runner, archive, tmp_path):
     assert not out.exists()
 
 
+def test_resolve_fetch_failed_write_keeps_earlier_file(
+    runner, archive, tmp_path, monkeypatch
+):
+    swhid = archive.add_content(b"the payload\n")
+    out = tmp_path / "fetched.bin"
+    out.write_bytes(b"earlier\n")
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    result = runner.invoke(
+        main,
+        ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)],
+    )
+    assert result.exit_code == ExitStatus.IO_ERROR, result.output
+    assert result.stderr == f"swhid: {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fetched.bin"]
+
+
+def test_resolve_fetch_into_missing_directory_exits_3(runner, archive, tmp_path):
+    swhid = archive.add_content(b"the payload\n")
+    out = tmp_path / "no-such-dir" / "out.bin"
+    result = runner.invoke(
+        main,
+        ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)],
+    )
+    assert result.exit_code == ExitStatus.IO_ERROR, result.output
+    assert result.stderr == f"swhid: {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resolve_fetch_requires_content_id(runner, tmp_path):
     ident = "swh:1:dir:94a9ed024d3859793618152ea559a168bbcbb5e2"
     result = runner.invoke(
@@ -499,12 +533,12 @@ def test_resolve_fetch_requires_content_id(runner, tmp_path):
     assert result.exit_code == ExitStatus.USAGE
 
 
-def _cli_child(args, flags=(), **env):
-    """Run python [flags] -m swhid.cli args; no *_proxy variables but env's."""
+def _cli_child(args, python=("-m", "swhid.cli"), **env):
+    """Run python [python] args; no *_proxy variables but env's."""
     src = Path(swhid.__file__).resolve().parents[1]
     base = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     return subprocess.run(
-        [sys.executable, *flags, "-m", "swhid.cli", *args],
+        [sys.executable, *python, *args],
         env=dict(base, PYTHONPATH=str(src), **env),
         capture_output=True,
         text=True,
@@ -537,6 +571,81 @@ def test_resolve_bypasses_proxy_for_no_proxy_hosts(archive):
     assert child.returncode == 0, child.stderr
     assert proxy.proxied == 0 and proxy.resolve_requests == 0
     assert archive.resolve_requests == 1 and archive.proxied == 0
+
+
+def _with_credentials(archive) -> str:
+    return archive.endpoint.replace("http://", "http://user:p%40ss@")
+
+
+BASIC = "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_resolve_sends_proxy_credentials_as_basic(archive):
+    swhid = archive.add_content(b"proxied\n")
+    child = _cli_child(
+        ["resolve", "--check", "--endpoint", "http://archive.invalid", str(swhid)],
+        http_proxy=_with_credentials(archive),
+    )
+    assert child.returncode == 0, child.stderr
+    assert archive.proxy_auth == [BASIC]
+
+
+def test_resolve_tunnels_https_through_proxy(archive):
+    swhid = archive.add_content(b"tunnelled\n")
+    child = _cli_child(
+        ["resolve", "--check", "--endpoint", "https://archive.invalid", str(swhid)],
+        https_proxy=_with_credentials(archive),
+    )
+    assert child.returncode == ExitStatus.IO_ERROR, child.stderr
+    assert child.stderr == (
+        f"swhid: GET https://archive.invalid/api/1/resolve/{swhid}/:"
+        " Tunnel connection failed: 403 Forbidden\n"
+    )
+    assert archive.tunnels == ["archive.invalid:443"] * 3
+    assert archive.proxy_auth == [BASIC] * 3
+
+
+def test_resolve_child_closes_pooled_connections_at_exit(
+    keep_alive_archive, tmp_path
+):
+    swhid = keep_alive_archive.add_content(b"the payload\n")
+    out = tmp_path / "fetched.bin"
+    endpoint = keep_alive_archive.endpoint
+    child = _cli_child(
+        ["resolve", "--check", "--fetch", str(out), "--endpoint", endpoint, str(swhid)],
+        python=("-X", "dev", "-W", "error::ResourceWarning", "-m", "swhid.cli"),
+    )
+    assert child.returncode == 0, child.stderr
+    assert "ResourceWarning" not in child.stderr
+    assert out.read_bytes() == b"the payload\n"
+    assert keep_alive_archive.connections == 1
+
+
+# Exit handlers run last-registered first, so this one, registered before
+# swhid is imported, sees the sockets swhid's own handler left open.
+_COUNT_OPEN_SOCKETS_AT_EXIT = """
+import atexit, gc, socket
+
+def report():
+    live = [o for o in gc.get_objects() if isinstance(o, socket.socket)]
+    print(sum(s.fileno() != -1 for s in live), "open")
+
+atexit.register(report)
+from swhid.cli import main
+main()
+"""
+
+
+def test_pooled_connections_are_closed_at_exit(keep_alive_archive):
+    swhid = keep_alive_archive.add_content(b"the payload\n")
+    endpoint = keep_alive_archive.endpoint
+    child = _cli_child(
+        ["resolve", "--check", "--endpoint", endpoint, str(swhid)],
+        python=("-c", _COUNT_OPEN_SOCKETS_AT_EXIT),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.endswith("\n0 open\n"), child.stdout
+    assert keep_alive_archive.connections == 1
 
 
 def test_resolve_bad_identifier(runner):

@@ -1,5 +1,9 @@
 import functools
 import json
+import logging
+import os
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -224,6 +228,25 @@ def test_redirect_off_http_is_refused(archive, target):
     assert naps == []
 
 
+@pytest.mark.parametrize(
+    "target, redirects",
+    [
+        ("/old", 5),  # back to the same URL: followed 4 times
+        ("/old/old", 11),  # a new URL each time: followed 10 times
+    ],
+)
+def test_redirect_loops_end(archive, target, redirects):
+    swhid = archive.add_content(b"hello\n")
+    archive.redirect_to = archive.endpoint + target
+    naps = []
+    with pytest.raises(TransportError, match="HTTP 302"):
+        fetch_content_verified(
+            swhid, archive.endpoint + "/old", sleep=naps.append
+        )
+    assert archive.redirects == redirects
+    assert naps == []
+
+
 def test_short_body_is_transport_error_after_retries(archive):
     swhid = archive.add_content(b"the payload\n")
     archive.short_by = 10
@@ -308,3 +331,154 @@ def test_metadata_without_object_id_is_still_confirmed(archive):
     swhid = archive.add_content(b"hello\n")
     del archive.metadata[str(swhid)]["object_id"]
     assert resolve_metadata(swhid, archive.endpoint).object_type_confirmed
+
+
+def test_fetch_holds_one_copy_of_the_content(archive):
+    data = bytes(range(256)) * (1 << 16)  # 16 MiB
+    swhid = archive.add_content(data)
+
+    def fetch():
+        assert fetch_content_verified(swhid, archive.endpoint) == data
+
+    assert _peak_memory(fetch) <= 1.25 * len(data)
+
+
+def _lookup(archive, swhid, **kwargs):
+    resolve_metadata(swhid, archive.endpoint, **kwargs)
+    return fetch_content_verified(swhid, archive.endpoint, **kwargs)
+
+
+def test_lookups_share_one_connection(keep_alive_archive):
+    archive = keep_alive_archive
+    swhids = [archive.add_content(b"%d\n" % i) for i in range(20)]
+    for i, swhid in enumerate(swhids):
+        assert _lookup(archive, swhid) == b"%d\n" % i
+    assert archive.connections == 1
+    assert archive.resolve_requests == archive.raw_requests == 20
+
+
+def _missing(archive, swhid):
+    with pytest.raises(NotFoundInArchiveError):
+        fetch_content_verified(parse(CNT), archive.endpoint)
+
+
+def _server_error(archive, swhid):
+    archive.fail_raw = 1
+    with pytest.raises(TransportError, match="HTTP 500"):
+        fetch_content_verified(swhid, archive.endpoint, retries=0)
+
+
+def _redirect(archive, swhid):
+    archive.redirect_to = archive.endpoint
+    assert fetch_content_verified(swhid, archive.endpoint + "/old")
+    archive.redirect_to = None
+
+
+def _corrupted(archive, swhid):
+    archive.corrupt_every = 1
+    with pytest.raises(IntegrityMismatchError):
+        fetch_content_verified(swhid, archive.endpoint)
+    archive.corrupt_every = 0
+
+
+def _oversized(archive, swhid):
+    archive.resolve_padding = 1 << 20
+    with pytest.raises(TransportError, match="over 1048576 bytes"):
+        resolve_metadata(swhid, archive.endpoint)
+    archive.resolve_padding = 0
+
+
+@pytest.mark.parametrize(
+    "failure, reopens",
+    [
+        # A 2xx read to its end leaves its connection pooled; anything else
+        # closes it, so the next lookup opens one.
+        (_missing, 1),
+        (_server_error, 1),
+        (_redirect, 0),
+        (_corrupted, 0),
+        (_oversized, 1),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
+)
+def test_next_lookup_succeeds_after_a_failure(keep_alive_archive, failure, reopens):
+    archive = keep_alive_archive
+    swhid = archive.add_content(b"the payload\n")
+    assert _lookup(archive, swhid) == b"the payload\n"
+    failure(archive, swhid)
+    before = archive.connections
+    assert _lookup(archive, swhid) == b"the payload\n"
+    assert archive.connections - before == reopens
+
+
+def test_dropped_idle_connection_is_replaced_without_a_retry(
+    keep_alive_archive, caplog
+):
+    archive = keep_alive_archive
+    archive.drop = True
+    swhid = archive.add_content(b"the payload\n")
+    naps = []
+    with caplog.at_level(logging.DEBUG, logger="swhid"):
+        for _ in range(5):
+            assert _lookup(archive, swhid, sleep=naps.append) == b"the payload\n"
+    assert naps == []
+    assert archive.resolve_requests == archive.raw_requests == 5
+    assert archive.connections == 10
+    stale = [r for r in caplog.records if "pooled connection" in r.getMessage()]
+    assert len(stale) == 9
+    assert {r.levelno for r in stale} == {logging.DEBUG}
+
+
+def test_concurrent_lookups_each_get_verified_bytes(keep_alive_archive):
+    archive = keep_alive_archive
+    contents = [b"content %d\n" % i * (i + 1) for i in range(40)]
+    swhids = [archive.add_content(data) for data in contents]
+    wrong = []
+
+    def worker(offset):
+        for i in range(offset, len(swhids), 4):
+            if _lookup(archive, swhids[i]) != contents[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert archive.raw_requests == len(swhids)
+
+
+def test_forked_child_opens_its_own_connection(keep_alive_archive):
+    archive = keep_alive_archive
+    swhid = archive.add_content(b"the payload\n")
+    assert _lookup(archive, swhid) == b"the payload\n"
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ok = _lookup(archive, swhid) == b"the payload\n"
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert archive.connections == 2
+    assert _lookup(archive, swhid) == b"the payload\n"
+    assert archive.connections == 2  # the parent's pooled one still serves
+
+
+def test_retries_are_logged(archive, caplog):
+    swhid = archive.add_content(b"hello\n")
+    archive.fail_resolve = 2
+    with caplog.at_level(logging.INFO, logger="swhid"):
+        resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
+    url = f"{archive.endpoint}/api/1/resolve/{swhid}/"
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("swhid", logging.INFO, f"GET {url}: HTTP 500; attempt 2 of 3 in 0.5 s"),
+        ("swhid", logging.INFO, f"GET {url}: HTTP 500; attempt 3 of 3 in 1 s"),
+    ]
