@@ -351,8 +351,7 @@ def swhid_of(node: DagNode) -> CoreSwhid:
 
 
 def content_id(node: Content) -> ObjectId:
-    """The id of node, hashing its bytes in place: no manifest is built,
-    so a large content is not held twice."""
+    """The id of node, hashed in place: no manifest copy of the bytes."""
     sha = hashlib.sha1(b"blob %d\x00" % len(node.data))
     sha.update(node.data)
     return ObjectId(sha.digest())

@@ -859,7 +859,7 @@ def test_cli_import_leaves_requests_unloaded():
     # who only mint ids import swhid; the HTTP stack would add ~30 ms to
     # their start-up.
     src = Path(swhid.__file__).resolve().parents[1]
-    network = ("requests", "urllib.request", "http.client")
+    network = ("requests", "urllib.request", "http.client", "swhid.transport")
     for module in ("swhid", "swhid.cli"):
         probe = (
             f"import sys, {module}; "
