@@ -533,15 +533,16 @@ def test_resolve_fetch_requires_content_id(runner, tmp_path):
     assert result.exit_code == ExitStatus.USAGE
 
 
-def _cli_child(args, python=("-m", "swhid.cli"), **env):
+def _cli_child(args, python=("-m", "swhid.cli"), text=True, stdout=subprocess.PIPE, **env):
     """Run python [python] args; no *_proxy variables but env's."""
     src = Path(swhid.__file__).resolve().parents[1]
     base = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     return subprocess.run(
         [sys.executable, *python, *args],
         env=dict(base, PYTHONPATH=str(src), **env),
-        capture_output=True,
-        text=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=text,
         timeout=60,
     )
 
@@ -872,3 +873,78 @@ def test_cli_import_leaves_requests_unloaded():
             check=True,
         )
         assert out.stdout.strip() == b"[]", module
+
+
+# --- the contract as a shell sees it -------------------------------------------------
+# Real children, so that argument parsing and stream handling are pinned as
+# an installed swhid runs them, not only through the in-process runner.
+
+A_ID = "swh:1:cnt:78981922613b2afb6025042ff6bd878ac1994e85"  # b"a\n"
+B_ID = "swh:1:cnt:61780798228d17af2d34fce4cfbdf35556832472"  # b"b\n"
+TWO_ROWS_JSON = """[
+  {
+    "path": "DIR/a",
+    "swhid": "%s"
+  },
+  {
+    "path": "DIR/b",
+    "swhid": "%s"
+  }
+]
+""" % (A_ID, B_ID)
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout",
+    [
+        ([], ExitStatus.USAGE, ""),
+        (["frobnicate"], ExitStatus.USAGE, ""),
+        (["--frobnicate"], ExitStatus.USAGE, ""),
+        (["identify"], ExitStatus.USAGE, ""),
+        (["identify", "--jobs", "0", "DIR"], ExitStatus.USAGE, ""),
+        (["identify", "--jobs", "x", "DIR"], ExitStatus.USAGE, ""),
+        (["identify", "--rec", "DIR"], ExitStatus.USAGE, ""),
+        (["identify", "--type", "x", "DIR"], ExitStatus.USAGE, ""),
+        (["resolve", "--resolver", "x", GPL3_ID], ExitStatus.USAGE, ""),
+        (["identify", "DIR/a", "--json", "DIR/b"], ExitStatus.OK, TWO_ROWS_JSON),
+        (["identify", "--jobs", "2", "DIR/b"], ExitStatus.OK, f"{B_ID}\tDIR/b\n"),
+    ],
+)
+def test_contract_child_exit_code_and_stdout(tmp_path, args, code, stdout):
+    (tmp_path / "a").write_bytes(b"a\n")
+    (tmp_path / "b").write_bytes(b"b\n")
+    child = _cli_child([a.replace("DIR", str(tmp_path)) for a in args], text=False)
+    assert child.returncode == code, child.stderr
+    assert child.stdout == stdout.replace("DIR", str(tmp_path)).encode()
+    assert b"Traceback" not in child.stderr
+
+
+def test_contract_child_version():
+    child = _cli_child(["--version"])
+    assert child.returncode == 0, child.stderr
+    assert "0.1.0" in child.stdout
+
+
+def test_contract_child_reads_endpoint_from_environment(archive):
+    swhid = archive.add_content(b"via env\n")
+    child = _cli_child(
+        ["resolve", "--check", str(swhid)], text=False, SWHID_ARCHIVE_URL=archive.endpoint
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == (
+        f"https://archive.softwareheritage.org/{swhid}\n"
+        "known to archive (type confirmed)\n"
+    ).encode()
+    assert archive.resolve_requests == 1
+
+
+def test_contract_child_closed_stdout_exits_1_quietly(tmp_path):
+    (tmp_path / "a").write_bytes(b"a\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write the child makes fails with EPIPE
+    try:
+        child = _cli_child(["identify", "--recursive", str(tmp_path)], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == ""
