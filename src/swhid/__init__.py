@@ -4,102 +4,56 @@ Identifiers name nodes of a Merkle DAG (file contents, directories,
 revisions, releases, snapshots) by the sha1 of a canonical manifest, so
 anyone holding the object can recompute and check its id without trusting
 a registry.
+
+Importing the package loads no submodule: each public name below is
+imported from its submodule the first time it is read, so a program that
+needs only swhid.syntax does not pay for the rest.
 """
-from . import errors
-from .describe import NodeDescription, describe_nodes, realize_descriptions
-from .ingest import (
-    ObjectStore,
-    VerificationReport,
-    extract_lines,
-    ingest_path,
-    verify_path,
-)
-from .model import (
-    BranchKind,
-    BranchTarget,
-    Content,
-    Directory,
-    DirectoryEntry,
-    EntryPermission,
-    PersonStamp,
-    Release,
-    Revision,
-    Snapshot,
-    content_id,
-    directory_id,
-    manifest_of,
-    object_id_of,
-    release_id,
-    revision_id,
-    snapshot_id,
-    swhid_of,
-)
-from .resolve import (
-    ResolvedMetadata,
-    ResolverConfig,
-    ResolverKind,
-    fetch_content_verified,
-    resolve_metadata,
-    resolver_url,
-)
-from .syntax import (
-    CoreSwhid,
-    LineRange,
-    ObjectId,
-    ObjectType,
-    ParseDiagnostic,
-    QualifiedSwhid,
-    SwhidParseError,
-    format_swhid,
-    parse,
-    validate,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "ObjectType",
-    "ObjectId",
-    "CoreSwhid",
-    "LineRange",
-    "QualifiedSwhid",
-    "ParseDiagnostic",
-    "SwhidParseError",
-    "parse",
-    "format_swhid",
-    "validate",
-    "Content",
-    "DirectoryEntry",
-    "Directory",
-    "EntryPermission",
-    "PersonStamp",
-    "Revision",
-    "Release",
-    "BranchKind",
-    "BranchTarget",
-    "Snapshot",
-    "content_id",
-    "directory_id",
-    "revision_id",
-    "release_id",
-    "snapshot_id",
-    "manifest_of",
-    "object_id_of",
-    "swhid_of",
-    "ObjectStore",
-    "NodeDescription",
-    "VerificationReport",
-    "ingest_path",
-    "describe_nodes",
-    "realize_descriptions",
-    "verify_path",
-    "extract_lines",
-    "ResolverKind",
-    "ResolverConfig",
-    "ResolvedMetadata",
-    "resolver_url",
-    "resolve_metadata",
-    "fetch_content_verified",
-    "__version__",
-]
+# Each public name and the submodule that defines it, in __all__ order.
+_SUBMODULE_OF = {
+    "errors": "errors",
+    **dict.fromkeys(
+        "ObjectType ObjectId CoreSwhid LineRange QualifiedSwhid ParseDiagnostic"
+        " SwhidParseError parse format_swhid validate".split(),
+        "syntax",
+    ),
+    **dict.fromkeys(
+        "Content DirectoryEntry Directory EntryPermission PersonStamp Revision Release"
+        " BranchKind BranchTarget Snapshot content_id directory_id revision_id release_id"
+        " snapshot_id manifest_of object_id_of swhid_of".split(),
+        "model",
+    ),
+    "ObjectStore": "ingest",
+    "NodeDescription": "describe",
+    "VerificationReport": "ingest",
+    "ingest_path": "ingest",
+    "describe_nodes": "describe",
+    "realize_descriptions": "describe",
+    "verify_path": "ingest",
+    "extract_lines": "ingest",
+    **dict.fromkeys(
+        "ResolverKind ResolverConfig ResolvedMetadata resolver_url resolve_metadata"
+        " fetch_content_verified".split(),
+        "resolve",
+    ),
+}
+
+__all__ = [*_SUBMODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

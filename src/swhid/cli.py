@@ -1,21 +1,20 @@
 """Command line interface.
 
 Exit codes are part of the contract: 0 success, 1 verification mismatch,
-2 usage or syntax error, 3 I/O or network failure. A SwhidError raised by
-any command ends in its class's exit_status (see swhid.errors), caught in
-one place: the command group's invoke().
+2 usage or syntax error, 3 I/O or network failure. argparse ends a usage
+error in 2; a SwhidError raised by any command ends in its class's
+exit_status (see swhid.errors), caught in one place: main().
 """
 from __future__ import annotations
 
+import argparse
 import base64
 import json as jsonlib
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NoReturn
-
-import click
+from typing import NoReturn, Optional, Sequence, Union
 
 from . import __version__
 from .errors import ExitStatus, SwhidError
@@ -37,75 +36,38 @@ from .syntax import ObjectType, parse, validate
 
 
 def _fail(code: ExitStatus, message: str) -> NoReturn:
-    click.echo(f"swhid: {message}", err=True)
+    print(f"swhid: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-class _Group(click.Group):
-    """Ends every command's SwhidError in that error's exit_status."""
+def _write(data: Union[str, bytes]) -> None:
+    """Write data to stdout; text is encoded by os.fsencode.
 
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except SwhidError as exc:
-            _fail(exc.exit_status, str(exc))
-
-
-@click.group(
-    cls=_Group, context_settings={"help_option_names": ["-h", "--help"]}
-)
-@click.version_option(version=__version__)
-def main():
-    """Intrinsic, verifiable identifiers for source code artifacts."""
+    That is the filesystem encoding with errors="surrogateescape", the
+    inverse of how names were read, so a name that is not UTF-8 comes out
+    as its own bytes whatever errors setting stdout has.
+    """
+    sys.stdout.buffer.write(data if isinstance(data, bytes) else os.fsencode(data))
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@click.option(
-    "--type",
-    "force_type",
-    type=click.Choice(["cnt", "dir"]),
-    default=None,
-    help="Fail unless the computed identifier has this type.",
-)
-@click.option(
-    "--exclude",
-    "excludes",
-    multiple=True,
-    metavar="PATTERN",
-    help="Skip entries matching this glob (name or relative path).",
-)
-@click.option(
-    "--recursive",
-    is_flag=True,
-    help="Print an identifier for every node under each path.",
-)
-@click.option(
-    "--jobs",
-    type=click.IntRange(min=1),
-    default=1,
-    help="Accepted for compatibility; files are hashed in one thread.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON array.")
-def identify(paths, force_type, excludes, recursive, jobs, as_json):
+def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
     rows = []
-    for path in paths:
-        collected = [] if recursive else None
-        swhid, _ = ingest_path(path, excludes, jobs=jobs, collect=collected)
-        if force_type is not None and swhid.object_type.value != force_type:
+    for path in args.paths:
+        collected = [] if args.recursive else None
+        swhid, _ = ingest_path(path, args.excludes, jobs=args.jobs, collect=collected)
+        if args.force_type is not None and swhid.object_type.value != args.force_type:
             _fail(
                 ExitStatus.USAGE,
                 f"{path}: computed a {swhid.object_type.long_name}"
-                f" identifier, but --type {force_type} was requested",
+                f" identifier, but --type {args.force_type} was requested",
             )
         prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
         rows.extend((prefix + r if r else path, i) for r, i in collected or [("", swhid)])
-    if as_json:
-        click.echo(_json_rows(rows))
+    if args.as_json:
+        _write(_json_rows(rows) + "\n")
     else:
-        for p, s in rows:
-            click.echo(f"{s}\t{p}")
+        _write("".join(f"{s}\t{p}\n" for p, s in rows))
 
 
 def _path_b64(path: str) -> dict:
@@ -129,143 +91,85 @@ def _json_rows(rows) -> str:
     return "[\n%s\n]" % ",\n".join(out) if out else "[]"
 
 
-@main.command(name="parse")
-@click.argument("identifier")
-@click.option(
-    "--permissive",
-    is_flag=True,
-    help="Tolerate unknown qualifier keys (warn and drop them).",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def parse_command(identifier, permissive, as_json):
+def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
     """Validate an identifier and print its parts."""
-    diagnostics = validate(identifier, permissive)
+    diagnostics = validate(args.identifier, args.permissive)
     for diagnostic in diagnostics:
-        click.echo(f"swhid: {diagnostic}", err=True)
+        print(f"swhid: {diagnostic}", file=sys.stderr)
     if any(not d.is_warning for d in diagnostics):
-        sys.exit(ExitStatus.USAGE)
-    value = parse(identifier, permissive)
-    if as_json:
-        click.echo(
-            jsonlib.dumps(
-                {
-                    "canonical": str(value),
-                    "schema_version": value.core.schema_version,
-                    "object_type": value.object_type.long_name,
-                    "object_id": value.object_id.hex,
-                    "origin": value.origin,
-                    "lines": str(value.lines) if value.lines else None,
-                },
-                indent=2,
-            )
-        )
-    else:
-        click.echo(f"canonical    {value}")
-        click.echo(f"object type  {value.object_type.long_name}")
-        click.echo(f"object id    {value.object_id.hex}")
-        if value.origin is not None:
-            click.echo(f"origin       {value.origin}")
-        if value.lines is not None:
-            click.echo(f"lines        {value.lines}")
+        return ExitStatus.USAGE
+    value = parse(args.identifier, args.permissive)
+    if args.as_json:
+        fields = {
+            "canonical": str(value),
+            "schema_version": value.core.schema_version,
+            "object_type": value.object_type.long_name,
+            "object_id": value.object_id.hex,
+            "origin": value.origin,
+            "lines": str(value.lines) if value.lines else None,
+        }
+        _write(jsonlib.dumps(fields, indent=2) + "\n")
+        return None
+    lines = [
+        f"canonical    {value}",
+        f"object type  {value.object_type.long_name}",
+        f"object id    {value.object_id.hex}",
+    ]
+    if value.origin is not None:
+        lines.append(f"origin       {value.origin}")
+    if value.lines is not None:
+        lines.append(f"lines        {value.lines}")
+    _write("".join(line + "\n" for line in lines))
+    return None
 
 
-@main.command()
-@click.argument("identifier")
-@click.argument("path")
-@click.option(
-    "--exclude",
-    "excludes",
-    multiple=True,
-    metavar="PATTERN",
-    help="Skip entries matching this glob (name or relative path).",
-)
-@click.option(
-    "--objects",
-    "objects_dir",
-    type=click.Path(),
-    default=None,
-    help="Exported object store used to localize directory divergences.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def verify(identifier, path, excludes, objects_dir, as_json):
+def verify(args: argparse.Namespace) -> ExitStatus:
     """Check that PATH still hashes to IDENTIFIER."""
-    value = parse(identifier)
-    reference = None if objects_dir is None else ObjectStore.load(objects_dir)
-    report = verify_path(value, path, reference=reference, excludes=excludes)
-    if as_json:
-        click.echo(
-            jsonlib.dumps(
+    value = parse(args.identifier)
+    reference = None if args.objects_dir is None else ObjectStore.load(args.objects_dir)
+    report = verify_path(value, args.path, reference=reference, excludes=args.excludes)
+    if args.as_json:
+        fields = {
+            "expected": str(report.expected),
+            "actual": str(report.actual),
+            "matched": report.matched,
+            "detail": [
                 {
-                    "expected": str(report.expected),
-                    "actual": str(report.actual),
-                    "matched": report.matched,
-                    "detail": [
-                        {
-                            "path": d.path,
-                            **_path_b64(d.path),
-                            "expected": d.expected_hex,
-                            "actual": d.actual_hex,
-                            "note": d.note,
-                        }
-                        for d in report.detail
-                    ],
-                },
-                indent=2,
+                    "path": d.path,
+                    **_path_b64(d.path),
+                    "expected": d.expected_hex,
+                    "actual": d.actual_hex,
+                    "note": d.note,
+                }
+                for d in report.detail
+            ],
+        }
+        _write(jsonlib.dumps(fields, indent=2) + "\n")
+    elif report.matched:
+        _write(f"ok {report.expected}\n")
+    else:
+        _write(
+            f"mismatch: expected {report.expected}\n"
+            f"          computed {report.actual}\n"
+            + "".join(
+                f"  {d.path or '.'}: {d.note}"
+                f" (expected {d.expected_hex or '-'}, found {d.actual_hex or '-'})\n"
+                for d in report.detail
             )
         )
-    elif report.matched:
-        click.echo(f"ok {report.expected}")
-    else:
-        click.echo(f"mismatch: expected {report.expected}")
-        click.echo(f"          computed {report.actual}")
-        for d in report.detail:
-            where = d.path or "."
-            click.echo(
-                f"  {where}: {d.note}"
-                f" (expected {d.expected_hex or '-'},"
-                f" found {d.actual_hex or '-'})"
-            )
-    sys.exit(ExitStatus.OK if report.matched else ExitStatus.MISMATCH)
+    return ExitStatus.OK if report.matched else ExitStatus.MISMATCH
 
 
-@main.command()
-@click.argument("identifier")
-@click.option(
-    "--resolver",
-    type=click.Choice([k.value for k in ResolverKind]),
-    default=ResolverKind.ARCHIVE_WEB.value,
-    show_default=True,
-    help="Which resolver to build a URL for.",
-)
-@click.option(
-    "--check",
-    is_flag=True,
-    help="Ask the archive whether it knows the object.",
-)
-@click.option(
-    "--fetch",
-    "fetch_to",
-    type=click.Path(),
-    default=None,
-    metavar="FILE",
-    help="Download a content object into FILE (verified first).",
-)
-@click.option(
-    "--endpoint",
-    envvar="SWHID_ARCHIVE_URL",
-    default=None,
-    metavar="URL",
-    help="Archive API base URL [env: SWHID_ARCHIVE_URL].",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def resolve(identifier, resolver, check, fetch_to, endpoint, as_json):
+def resolve(args: argparse.Namespace) -> None:
     """Build a resolver URL, optionally checking the archive."""
-    value = parse(identifier)
+    value = parse(args.identifier)
+    fetch_to = args.fetch_to
     if fetch_to is not None and value.object_type is not ObjectType.CONTENT:
         _fail(ExitStatus.USAGE, "--fetch needs a content identifier")
-    url = resolver_url(value, ResolverKind(resolver))
+    endpoint = os.environ.get("SWHID_ARCHIVE_URL") if args.endpoint is None else args.endpoint
+    url = resolver_url(value, ResolverKind(args.resolver))
     info: dict = {"url": url}
-    if check:
+    if args.check:
         metadata = resolve_metadata(value.core, endpoint)
         info["known"] = True
         info["type_confirmed"] = metadata.object_type_confirmed
@@ -279,47 +183,185 @@ def resolve(identifier, resolver, check, fetch_to, endpoint, as_json):
             _fail(ExitStatus.IO_ERROR, f"{fetch_to}: {exc.strerror or exc}")
         info["written"] = fetch_to
         info["size"] = len(data)
-    if as_json:
-        click.echo(jsonlib.dumps(info, indent=2))
-    else:
-        click.echo(url)
-        if check:
-            suffix = (
-                " (type confirmed)" if info["type_confirmed"] else ""
-            )
-            click.echo(f"known to archive{suffix}")
-        if fetch_to is not None:
-            click.echo(f"wrote {info['size']} verified bytes to {fetch_to}")
+    if args.as_json:
+        _write(jsonlib.dumps(info, indent=2) + "\n")
+        return
+    lines = [url]
+    if args.check:
+        lines.append("known to archive" + (" (type confirmed)" if info["type_confirmed"] else ""))
+    if fetch_to is not None:
+        lines.append(f"wrote {info['size']} verified bytes to {fetch_to}")
+    _write("".join(line + "\n" for line in lines))
 
 
-@main.command(name="extract-lines")
-@click.argument("identifier")
-@click.argument("path")
-@click.option(
-    "--no-verify",
-    is_flag=True,
-    help="Skip checking the file against the identifier.",
-)
-def extract_lines_command(identifier, path, no_verify):
+def extract_lines_command(args: argparse.Namespace) -> None:
     """Write the line range a qualified identifier selects from PATH."""
-    value = parse(identifier)
+    value = parse(args.identifier)
     if value.object_type is not ObjectType.CONTENT:
         _fail(ExitStatus.USAGE, "extract-lines needs a content identifier")
     if value.lines is None:
         _fail(ExitStatus.USAGE, "identifier carries no lines qualifier")
     try:
-        data = Path(path).read_bytes()
+        data = Path(args.path).read_bytes()
     except OSError as exc:
-        _fail(ExitStatus.IO_ERROR, f"{path}: {exc.strerror or exc}")
-    if not no_verify:
+        _fail(ExitStatus.IO_ERROR, f"{args.path}: {exc.strerror or exc}")
+    if not args.no_verify:
         actual = content_id(Content(data))
         if actual != value.object_id:
             _fail(
                 ExitStatus.MISMATCH,
-                f"{path} hashes to {actual.hex},"
+                f"{args.path} hashes to {actual.hex},"
                 f" identifier says {value.object_id.hex}",
             )
-    click.echo(extract_lines(data, value.lines), nl=False)
+    _write(extract_lines(data, value.lines))
+
+
+class _Commands(argparse._SubParsersAction):
+    """Parses a command's arguments; identify's paths may follow options.
+
+    argparse gives a variadic positional only its first run of arguments
+    and returns the later ones as extras, in order and with any "--" kept;
+    here they join identify's paths (identify A --json B). The standard
+    library's parse_intermixed_args would do the same, but drops a "--"
+    that no positional argument precedes.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *rest = values
+        command = self.choices[name]
+        _, extras = command.parse_known_args(rest, namespace)
+        if not extras:
+            return
+        cut = extras.index("--") if "--" in extras else len(extras)
+        if name != "identify" or any(a.startswith("-") and a != "-" for a in extras[:cut]):
+            command.error("unrecognized arguments: " + " ".join(extras))
+        namespace.paths += extras[:cut] + extras[cut + 1 :]
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return jobs
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="swhid",
+        description="Intrinsic, verifiable identifiers for source code artifacts.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(
+        title="Commands", metavar="COMMAND", required=True, action=_Commands
+    )
+
+    def command(name, run, *positionals, json_help=None):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for metavar in positionals:
+            sub.add_argument(metavar.lower(), metavar=metavar)
+        if json_help is not None:
+            sub.add_argument("--json", dest="as_json", action="store_true", help=json_help)
+        return sub
+
+    def excludes(sub):
+        sub.add_argument(
+            "--exclude",
+            dest="excludes",
+            action="append",
+            default=[],
+            metavar="PATTERN",
+            help="Skip entries matching this glob (name or relative path).",
+        )
+
+    sub = command("identify", identify, json_help="Emit a JSON array.")
+    sub.add_argument("paths", nargs="+", metavar="PATH")
+    sub.add_argument(
+        "--type",
+        dest="force_type",
+        choices=["cnt", "dir"],
+        help="Fail unless the computed identifier has this type.",
+    )
+    excludes(sub)
+    sub.add_argument(
+        "--recursive",
+        action="store_true",
+        help="Print an identifier for every node under each path.",
+    )
+    sub.add_argument(
+        "--jobs",
+        type=_jobs,
+        default=1,
+        help="Accepted for compatibility; files are hashed in one thread.",
+    )
+
+    sub = command("parse", parse_command, "IDENTIFIER", json_help="Emit a JSON object.")
+    sub.add_argument(
+        "--permissive",
+        action="store_true",
+        help="Tolerate unknown qualifier keys (warn and drop them).",
+    )
+
+    sub = command("verify", verify, "IDENTIFIER", "PATH", json_help="Emit a JSON object.")
+    excludes(sub)
+    sub.add_argument(
+        "--objects",
+        dest="objects_dir",
+        metavar="DIR",
+        help="Exported object store used to localize directory divergences.",
+    )
+
+    sub = command("resolve", resolve, "IDENTIFIER", json_help="Emit a JSON object.")
+    sub.add_argument(
+        "--resolver",
+        choices=[k.value for k in ResolverKind],
+        default=ResolverKind.ARCHIVE_WEB.value,
+        help="Which resolver to build a URL for (default: %(default)s).",
+    )
+    sub.add_argument(
+        "--check",
+        action="store_true",
+        help="Ask the archive whether it knows the object.",
+    )
+    sub.add_argument(
+        "--fetch",
+        dest="fetch_to",
+        metavar="FILE",
+        help="Download a content object into FILE (verified first).",
+    )
+    sub.add_argument(
+        "--endpoint",
+        metavar="URL",
+        help="Archive API base URL (default: $SWHID_ARCHIVE_URL, else the public archive).",
+    )
+
+    sub = command("extract-lines", extract_lines_command, "IDENTIFIER", "PATH")
+    sub.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="Skip checking the file against the identifier.",
+    )
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """Run the command line on argv (default sys.argv[1:]) and exit with its status."""
+    args = _parser().parse_args(argv)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()
+    except SwhidError as exc:
+        _fail(exc.exit_status, str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout (| head): exit 1 without a word, and let
+        # the interpreter's last flush of stdout go to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,7 @@ ingest_path() walks a tree once, hashing each file as a stream, and stores
 one manifest per distinct object (a file is kept as its path, not its
 bytes). Symlinks are never followed: the link target bytes are the content,
 exactly as in version control. verify_path() recomputes an id and, given a
-reference store, walks both trees to localize the divergence. Description
-documents (swhid.describe) are re-exported from here.
+reference store, walks both trees to localize the divergence.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .describe import NodeDescription, describe_nodes, realize_descriptions
 from .errors import (
     NotFoundError,
     RangeOutOfBoundsError,
@@ -42,9 +40,6 @@ from .syntax import CoreSwhid, LineRange, ObjectId, ObjectType, QualifiedSwhid
 __all__ = [
     "ObjectStore",
     "ingest_path",
-    "NodeDescription",
-    "describe_nodes",
-    "realize_descriptions",
     "EntryMismatch",
     "VerificationReport",
     "verify_path",

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from swhid import (
     BranchTarget,

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 import swhid
 import swhid.cli
@@ -875,6 +875,54 @@ def test_cli_import_leaves_requests_unloaded():
         assert out.stdout.strip() == b"[]", module
 
 
+def _child_output(code: str) -> str:
+    src = Path(swhid.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("swhid", ["swhid"]),
+        ("swhid.syntax", ["swhid", "swhid.errors", "swhid.syntax"]),
+        (
+            "swhid.cli",
+            ["swhid", "swhid.cli", "swhid.errors", "swhid.ingest", "swhid.model"]
+            + ["swhid.resolve", "swhid.syntax"],
+        ),
+    ],
+)
+def test_import_loads_only_the_modules_it_uses(module, loaded):
+    # The package imports its submodules on first use, and the CLI needs no
+    # module from outside the standard library: a CLI child starts at little
+    # over interpreter cost.
+    network = ("http.client", "urllib.request")
+    probe = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        "print(sorted(m for m in set(sys.modules) - before"
+        f" if m.split('.')[0] not in sys.stdlib_module_names or m in {network!r}))"
+    )
+    assert _child_output(probe) == repr(loaded)
+
+
+def test_every_public_name_resolves_on_first_access():
+    probe = (
+        "import swhid; "
+        "assert set(swhid.__all__) <= set(dir(swhid)); "
+        "values = [getattr(swhid, name) for name in swhid.__all__]; "
+        "namespace = {}; exec('from swhid import *', namespace); "
+        "print(all(namespace[n] is v for n, v in zip(swhid.__all__, values)), len(values))"
+    )
+    assert _child_output(probe) == f"True {len(swhid.__all__)}"
+
+
 # --- the contract as a shell sees it -------------------------------------------------
 # Real children, so that argument parsing and stream handling are pinned as
 # an installed swhid runs them, not only through the in-process runner.
@@ -907,6 +955,10 @@ TWO_ROWS_JSON = """[
         (["identify", "--type", "x", "DIR"], ExitStatus.USAGE, ""),
         (["resolve", "--resolver", "x", GPL3_ID], ExitStatus.USAGE, ""),
         (["identify", "DIR/a", "--json", "DIR/b"], ExitStatus.OK, TWO_ROWS_JSON),
+        (["identify", "--json", "--", "DIR/a", "DIR/b"], ExitStatus.OK, TWO_ROWS_JSON),
+        (["identify", "--", "-missing"], ExitStatus.IO_ERROR, ""),
+        (["identify", "--json", "--", "DIR/a", "-missing"], ExitStatus.IO_ERROR, ""),
+        (["identify", "DIR/a", "--json", "DIR/b", "--", "-missing"], ExitStatus.IO_ERROR, ""),
         (["identify", "--jobs", "2", "DIR/b"], ExitStatus.OK, f"{B_ID}\tDIR/b\n"),
     ],
 )
@@ -948,3 +1000,33 @@ def test_contract_child_closed_stdout_exits_1_quietly(tmp_path):
         os.close(write_end)
     assert child.returncode == 1
     assert child.stderr == ""
+
+
+@pytest.mark.parametrize("stdout_encoding", [None, "utf-8:strict"])
+def test_contract_child_writes_non_utf8_names_as_their_bytes(tmp_path, stdout_encoding):
+    # A UTF-8 locale other than C/POSIX gives Python a strict stdout too.
+    env = {} if stdout_encoding is None else {"PYTHONIOENCODING": stdout_encoding}
+    root = tmp_path / "proj"
+    root.mkdir()
+    raw_path = os.path.join(os.fsencode(root), b"caf\xe9.txt")
+    with open(raw_path, "wb") as fh:
+        fh.write(b"original\n")
+    swhid, store = ingest_path(root)
+    child = _cli_child(["identify", "--recursive", str(root)], text=False, **env)
+    assert child.returncode == 0, child.stderr
+    file_id = swhid_of(Content(b"original\n"))
+    assert child.stdout == b"%s\t%s\n%s\t%s\n" % (
+        str(file_id).encode(), raw_path, str(swhid).encode(), os.fsencode(root)
+    )
+    store.save(tmp_path / "objects")
+    with open(raw_path, "wb") as fh:
+        fh.write(b"tampered\n")
+    objects = str(tmp_path / "objects")
+    child = _cli_child(["verify", "--objects", objects, str(swhid), str(root)], text=False, **env)
+    assert child.returncode == ExitStatus.MISMATCH
+    assert child.stderr == b""
+    tampered = swhid_of(Content(b"tampered\n")).object_id.hex
+    assert child.stdout.endswith(
+        b"  caf\xe9.txt: differs (expected %s, found %s)\n"
+        % (file_id.object_id.hex.encode(), tampered.encode())
+    )

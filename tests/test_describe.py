@@ -4,7 +4,7 @@ import json
 import pytest
 
 from swhid.errors import SchemaError, UnknownReferenceError
-from swhid.ingest import describe_nodes, realize_descriptions
+from swhid.describe import describe_nodes, realize_descriptions
 
 _TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
 _DROP = object()

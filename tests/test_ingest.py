@@ -7,7 +7,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import swhid.ingest
@@ -23,12 +23,11 @@ from swhid.errors import (
     UnreadableError,
     UnsupportedNodeKindError,
 )
+from swhid.describe import describe_nodes, realize_descriptions
 from swhid.ingest import (
     ObjectStore,
-    describe_nodes,
     extract_lines,
     ingest_path,
-    realize_descriptions,
     verify_path,
 )
 from swhid.model import (

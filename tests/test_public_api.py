@@ -23,7 +23,6 @@ def test_public_names_and_reexports():
     assert swhid.__all__ == _PUBLIC_NAMES
     for name in ("NodeDescription", "describe_nodes", "realize_descriptions"):
         assert getattr(swhid, name) is getattr(swhid.describe, name)
-        assert getattr(swhid.ingest, name) is getattr(swhid.describe, name)
     # perfbench's tracer patches these two on swhid.ingest by name.
     assert swhid.ingest.manifest_of is swhid.model.manifest_of
     assert swhid.ingest.object_id_of is swhid.model.object_id_of

@@ -7,7 +7,7 @@ import threading
 import tracemalloc
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from swhid.cli import main
 from swhid.errors import (
