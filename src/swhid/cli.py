@@ -361,6 +361,9 @@ def main(argv: Optional[Sequence[str]] = None) -> NoReturn:
         # the interpreter's last flush of stdout go to /dev/null.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except KeyboardInterrupt:
+        print("swhid: interrupted", file=sys.stderr)
+        sys.exit(1)
     sys.exit(status)
 
 

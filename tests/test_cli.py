@@ -799,6 +799,16 @@ def test_errors_end_in_their_exit_status(runner, tmp_path, request, case, code):
     assert "Traceback" not in result.output
 
 
+def test_interrupt_exits_1_without_traceback(runner, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("swhid.cli.ingest_path", interrupted)
+    result = runner.invoke(main, ["identify", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr == "swhid: interrupted\n"
+
+
 def _swhid_installed() -> bool:
     try:
         importlib.metadata.distribution("swhid")
