@@ -87,6 +87,7 @@ def test_parse_single_line_qualifier():
         (f"swh:1:cnt:{HEX};lines=0", DiagnosticKind.BAD_LINE_RANGE, 51),
         (f"swh:1:cnt:{HEX};lines=0-4", DiagnosticKind.BAD_LINE_RANGE, 51),
         (f"swh:1:cnt:{HEX};lines=9-4", DiagnosticKind.BAD_LINE_RANGE, 51),
+        (f"swh:1:cnt:{HEX};lines=5-0", DiagnosticKind.BAD_LINE_RANGE, 51),
         (f"swh:1:cnt:{HEX};lines=4-5-6", DiagnosticKind.BAD_QUALIFIER, 51),
         (f"swh:1:cnt:{HEX};color=red", DiagnosticKind.BAD_QUALIFIER, 51),
         (
@@ -274,3 +275,183 @@ def test_parser_never_crashes(text):
         return
     # Anything accepted must re-parse to the same normalized value.
     assert parse(str(value)) == value
+
+
+P = f"swh:1:cnt:{HEX}"  # 50 characters; a first qualifier starts at byte 51
+ORIGIN_BAD_CHAR = "origin URL may not contain whitespace or control characters"
+
+# Every diagnostic the scanner emits, as (byte offset, kind value, message),
+# and the canonical form (None when the identifier is rejected). These rows
+# hold no unknown qualifier key, so strict and permissive scans agree.
+DIAGNOSTIC_ROWS = [
+    ("", [(0, "bad-prefix", "identifier must start with 'swh:'")], None),
+    ("swh:1", [(5, "bad-type", "identifier truncated before the object type")], None),
+    # A missing type is reported alone: the bad version is not checked.
+    ("swh:2", [(5, "bad-type", "identifier truncated before the object type")], None),
+    (
+        "swh:2:cnt",
+        [
+            (4, "unsupported-version", "unsupported schema version '2' (expected '1')"),
+            (9, "bad-hex", "identifier truncated before the object id"),
+        ],
+        None,
+    ),
+    (
+        "swh::",
+        [
+            (4, "unsupported-version", "unsupported schema version '' (expected '1')"),
+            (5, "bad-hex", "identifier truncated before the object id"),
+        ],
+        None,
+    ),
+    (
+        "swh:1:xyz:" + HEX,
+        [(6, "bad-type", "unknown object type 'xyz' (expected cnt, dir, rev, rel, or snp)")],
+        None,
+    ),
+    ("swh:1:cnt:" + HEX[:-1], [(10, "bad-hex", "object id must be 40 hex digits, got 39")], None),
+    ("swh:1:cnt:", [(10, "bad-hex", "object id must be 40 hex digits, got 0")], None),
+    ("swh:1:cnt:ab:cd", [(10, "bad-hex", "object id must be 40 hex digits, got 5")], None),
+    ("swh:1:cnt:" + "g" * 40, [(10, "bad-hex", "object id contains non-hex characters")], None),
+    (
+        "swh:1:cnt:" + HEX.upper(),
+        [(10, "uppercase-hex", "object id uses non-canonical uppercase hex digits")],
+        P,
+    ),
+    (
+        "swh:3:xyz:beef",
+        [
+            (4, "unsupported-version", "unsupported schema version '3' (expected '1')"),
+            (6, "bad-type", "unknown object type 'xyz' (expected cnt, dir, rev, rel, or snp)"),
+            (10, "bad-hex", "object id must be 40 hex digits, got 4"),
+        ],
+        None,
+    ),
+    # Offsets count UTF-8 bytes; a lone surrogate counts as one byte.
+    (
+        "swh:é:\udce9:beef;lines=0",
+        [
+            (4, "unsupported-version", "unsupported schema version 'é' (expected '1')"),
+            (7, "bad-type",
+             "unknown object type '\\udce9' (expected cnt, dir, rev, rel, or snp)"),
+            (9, "bad-hex", "object id must be 40 hex digits, got 4"),
+            (14, "bad-line-range", "line numbers are 1-indexed"),
+        ],
+        None,
+    ),
+    (
+        P + ";origin=https://é.org/\udce9;lines=0",
+        [(75, "bad-line-range", "line numbers are 1-indexed")],
+        None,
+    ),
+    (P + ";", [(51, "bad-qualifier", "empty qualifier")], None),
+    (P + ";;lines=3", [(51, "bad-qualifier", "empty qualifier")], None),
+    (
+        P + ";lines=3;;origin=https://a.org;",
+        [
+            (59, "bad-qualifier", "empty qualifier"),
+            (60, "qualifier-order", "non-canonical qualifier order (origin belongs before lines)"),
+            (81, "bad-qualifier", "empty qualifier"),
+        ],
+        None,
+    ),
+    (
+        P + ";origin",
+        [(51, "bad-qualifier", "qualifier 'origin' is not of the form key=value")],
+        None,
+    ),
+    (P + ";origin=", [(51, "bad-qualifier", "origin URL is empty")], None),
+    (P + ";origin=ftp.example.org", [(51, "bad-qualifier", "origin URL lacks a scheme")], None),
+    (P + ";origin==https://a.org", [(51, "bad-qualifier", "origin URL lacks a scheme")], None),
+    (P + ";origin=https://a.org/a b", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
+    (P + ";origin=https://a.org/\x7f", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
+    (P + ";origin=https://a.org/ ", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
+    (
+        P + ";origin=https://a.org;origin=https://b.org",
+        [(72, "bad-qualifier", "duplicate origin qualifier")],
+        None,
+    ),
+    # An invalid first origin does not make the second one a duplicate.
+    (
+        P + ";origin=a.org;origin=https://b.org",
+        [(51, "bad-qualifier", "origin URL lacks a scheme")],
+        None,
+    ),
+    (
+        P + ";lines=2;origin=https://a.org",
+        [(59, "qualifier-order", "non-canonical qualifier order (origin belongs before lines)")],
+        P + ";origin=https://a.org;lines=2",
+    ),
+    # An invalid lines= is not set, so the origin after it is in order.
+    (
+        P + ";lines=0;origin=https://a.org",
+        [(51, "bad-line-range", "line numbers are 1-indexed")],
+        None,
+    ),
+    (
+        P + ";origin=https://a.org;lines=7-9",
+        [],
+        P + ";origin=https://a.org;lines=7-9",
+    ),
+    (P + ";lines=1;lines=2", [(59, "bad-qualifier", "duplicate lines qualifier")], None),
+    (
+        P + ";lines=0;lines=2",
+        [(51, "bad-line-range", "line numbers are 1-indexed")],
+        None,
+    ),
+    (P + ";lines=", [(51, "bad-qualifier", "malformed line range ''")], None),
+    (P + ";lines=a-b", [(51, "bad-qualifier", "malformed line range 'a-b'")], None),
+    (P + ";lines=4-5-6", [(51, "bad-qualifier", "malformed line range '4-5-6'")], None),
+    (P + ";lines=٤", [(51, "bad-qualifier", "malformed line range '٤'")], None),
+    (P + ";lines=0", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
+    (P + ";lines=0-4", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
+    (P + ";lines=5-0", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
+    (P + ";lines=9-4", [(51, "bad-line-range", "line range end 4 precedes start 9")], None),
+    (P + ";lines=007-007", [], P + ";lines=7-7"),
+]
+
+# Rows whose result depends on the mode: (text, permissive, diagnostics, canonical).
+UNKNOWN_KEY_ROWS = [
+    (P + ";color=red", False, [(51, "bad-qualifier", "unknown qualifier key 'color'")], None),
+    (
+        P + ";color=red",
+        True,
+        [(51, "unknown-qualifier", "unknown qualifier key 'color' ignored")],
+        P,
+    ),
+    (P + ";=x", False, [(51, "bad-qualifier", "unknown qualifier key ''")], None),
+    (P + ";=x", True, [(51, "unknown-qualifier", "unknown qualifier key '' ignored")], P),
+    (
+        P + ";lines=3;visit=1;origin=https://a.org",
+        True,
+        [
+            (59, "unknown-qualifier", "unknown qualifier key 'visit' ignored"),
+            (67, "qualifier-order", "non-canonical qualifier order (origin belongs before lines)"),
+        ],
+        P + ";origin=https://a.org;lines=3",
+    ),
+    (
+        P + ";visit=1;lines=0",
+        True,
+        [
+            (51, "unknown-qualifier", "unknown qualifier key 'visit' ignored"),
+            (59, "bad-line-range", "line numbers are 1-indexed"),
+        ],
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,permissive,diagnostics,canonical",
+    [(t, p, d, c) for t, d, c in DIAGNOSTIC_ROWS for p in (False, True)] + UNKNOWN_KEY_ROWS,
+)
+def test_every_diagnostic_and_canonical_form(text, permissive, diagnostics, canonical):
+    found = validate(text, permissive=permissive)
+    assert [(d.byte_offset, d.kind.value, d.message) for d in found] == diagnostics
+    if canonical is not None:
+        assert str(parse(text, permissive=permissive)) == canonical
+        return
+    with pytest.raises(SwhidParseError) as excinfo:
+        parse(text, permissive=permissive)
+    assert excinfo.value.diagnostic == next(d for d in found if not d.is_warning)
