@@ -415,7 +415,7 @@ def _localize(
 ) -> Tuple[EntryMismatch, ...]:
     """The first limit divergences of a depth-first walk of both trees."""
     out: List[EntryMismatch] = []
-    tree = b"40000"
+    tree = EntryPermission.DIRECTORY.token
     # (path, expected (mode, id) or None, actual one or None); the entries
     # of a directory are pushed in reverse so they pop in name order.
     stack = [("", (tree, expected_id), (tree, actual_id))]

@@ -281,15 +281,6 @@ def _revision_body(node: Revision) -> bytes:
     return b"".join(lines)
 
 
-_RELEASE_TARGET_TOKENS = {
-    ObjectType.CONTENT: b"blob",
-    ObjectType.DIRECTORY: b"tree",
-    ObjectType.REVISION: b"commit",
-    ObjectType.RELEASE: b"tag",
-    ObjectType.SNAPSHOT: b"snapshot",
-}
-
-
 def _release_body(node: Release) -> bytes:
     lines = [
         b"object %s\n" % node.target.hex.encode("ascii"),
@@ -326,6 +317,7 @@ _SERIALIZERS = {
 MANIFEST_KIND_TO_TYPE = {
     kind: object_type for kind, _, object_type in _SERIALIZERS.values()
 }
+_RELEASE_TARGET_TOKENS = {object_type: kind for kind, object_type in MANIFEST_KIND_TO_TYPE.items()}
 
 
 def manifest_of(node: DagNode) -> bytes:

@@ -36,6 +36,10 @@ SCHEMA_VERSION = 1
 _HEX_RE = re.compile(r"\A[0-9a-fA-F]{40}\Z")
 _LINES_RE = re.compile(r"\A([0-9]+)(?:-([0-9]+))?\Z")
 _SCHEME_RE = re.compile(r"\A[A-Za-z][A-Za-z0-9+.\-]*:")
+# In a str pattern \s matches exactly the characters str.isspace() accepts.
+_ORIGIN_FORBIDDEN_RE = re.compile(r"[\s\x00-\x1f\x7f]")
+# Version, type and id; a group is None where the identifier is truncated.
+_CORE_RE = re.compile(r"swh:([^:]*)(?::([^:]*)(?::([^;]*))?)?")
 
 
 class ObjectType(enum.Enum):
@@ -116,12 +120,10 @@ class LineRange:
     end: Optional[int] = None
 
     def __post_init__(self):
-        if self.start < 1:
+        if self.start < 1 or (self.end is not None and self.end < 1):
             raise ValueError("line numbers are 1-indexed")
         if self.end is not None and self.end < self.start:
-            raise ValueError(
-                f"line range end {self.end} precedes start {self.start}"
-            )
+            raise ValueError(f"line range end {self.end} precedes start {self.start}")
 
     def __str__(self) -> str:
         if self.end is None:
@@ -135,7 +137,7 @@ def _origin_problem(url: str) -> Optional[str]:
         return "origin URL is empty"
     if ";" in url:
         return "origin URL may not contain ';'"
-    if any(ch.isspace() or ord(ch) < 0x20 or ord(ch) == 0x7F for ch in url):
+    if _ORIGIN_FORBIDDEN_RE.search(url):
         return "origin URL may not contain whitespace or control characters"
     if not _SCHEME_RE.match(url):
         return "origin URL lacks a scheme"
@@ -224,171 +226,103 @@ class SwhidParseError(SwhidError):
         self.diagnostic = diagnostic
 
 
-def _scan(
-    text: str, permissive: bool
-) -> "tuple[Optional[QualifiedSwhid], list[ParseDiagnostic]]":
+class _Invalid(Exception):
+    """A qualifier value that breaks its rule; args are (DiagnosticKind, message)."""
+
+
+def _origin(value: str) -> str:
+    problem = _origin_problem(value)
+    if problem:
+        raise _Invalid(DiagnosticKind.BAD_QUALIFIER, problem)
+    return value
+
+
+def _lines(value: str) -> LineRange:
+    match = _LINES_RE.match(value)
+    if not match:
+        raise _Invalid(DiagnosticKind.BAD_QUALIFIER, f"malformed line range {value!r}")
+    start, end = (None if digits is None else int(digits) for digits in match.groups())
+    try:
+        return LineRange(start, end)
+    except ValueError as exc:
+        raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, str(exc)) from None
+
+
+# Each known qualifier's checker, in canonical order; keys are QualifiedSwhid fields.
+_QUALIFIERS = {"origin": _origin, "lines": _lines}
+
+
+def _scan(text: str, permissive: bool) -> "tuple[Optional[QualifiedSwhid], list[ParseDiagnostic]]":
     """Single-pass scanner shared by parse() and validate()."""
     diags: list[ParseDiagnostic] = []
 
-    def boff(char_index: int) -> int:
-        return len(text[:char_index].encode("utf-8", "replace"))
-
     def err(at: int, kind: DiagnosticKind, message: str) -> None:
-        diags.append(ParseDiagnostic(boff(at), kind, message))
+        offset = len(text[:at].encode("utf-8", "replace"))
+        diags.append(ParseDiagnostic(offset, kind, message))
 
-    if not text.startswith("swh:"):
+    core = _CORE_RE.match(text)
+    if core is None:
         err(0, DiagnosticKind.BAD_PREFIX, "identifier must start with 'swh:'")
         return None, diags
-
-    version_end = text.find(":", 4)
-    if version_end < 0:
-        err(
-            len(text),
-            DiagnosticKind.BAD_TYPE,
-            "identifier truncated before the object type",
-        )
+    version, type_token, hex_part = core.groups()
+    if type_token is None:
+        err(len(text), DiagnosticKind.BAD_TYPE, "identifier truncated before the object type")
         return None, diags
-    version = text[4:version_end]
     if version != "1":
-        err(
-            4,
-            DiagnosticKind.UNSUPPORTED_VERSION,
-            f"unsupported schema version {version!r} (expected '1')",
-        )
-
-    type_start = version_end + 1
-    type_end = text.find(":", type_start)
-    if type_end < 0:
-        err(
-            len(text),
-            DiagnosticKind.BAD_HEX,
-            "identifier truncated before the object id",
-        )
+        message = f"unsupported schema version {version!r} (expected '1')"
+        err(4, DiagnosticKind.UNSUPPORTED_VERSION, message)
+    if hex_part is None:
+        err(len(text), DiagnosticKind.BAD_HEX, "identifier truncated before the object id")
         return None, diags
-    type_token = text[type_start:type_end]
+
     object_type: Optional[ObjectType] = None
     try:
         object_type = ObjectType(type_token)
     except ValueError:
-        err(
-            type_start,
-            DiagnosticKind.BAD_TYPE,
-            f"unknown object type {type_token!r}"
-            " (expected cnt, dir, rev, rel, or snp)",
-        )
-
-    id_start = type_end + 1
-    id_end = text.find(";", id_start)
-    if id_end < 0:
-        id_end = len(text)
-    hex_part = text[id_start:id_end]
-    object_id: Optional[ObjectId] = None
+        message = f"unknown object type {type_token!r} (expected cnt, dir, rev, rel, or snp)"
+        err(core.start(2), DiagnosticKind.BAD_TYPE, message)
     if not _HEX_RE.match(hex_part):
         if len(hex_part) != 40:
             message = f"object id must be 40 hex digits, got {len(hex_part)}"
         else:
             message = "object id contains non-hex characters"
-        err(id_start, DiagnosticKind.BAD_HEX, message)
-    else:
-        if hex_part != hex_part.lower():
-            err(
-                id_start,
-                DiagnosticKind.UPPERCASE_HEX,
-                "object id uses non-canonical uppercase hex digits",
-            )
-        object_id = ObjectId.from_hex(hex_part.lower())
+        err(core.start(3), DiagnosticKind.BAD_HEX, message)
+    elif hex_part != hex_part.lower():
+        message = "object id uses non-canonical uppercase hex digits"
+        err(core.start(3), DiagnosticKind.UPPERCASE_HEX, message)
 
-    origin: Optional[str] = None
-    lines: Optional[LineRange] = None
-    seg_start = id_end + 1
-    while seg_start <= len(text) and id_end < len(text):
-        seg_end = text.find(";", seg_start)
-        if seg_end < 0:
-            seg_end = len(text)
-        segment = text[seg_start:seg_end]
+    found: dict = {}
+    at = core.end() + 1
+    for segment in text[core.end():].split(";")[1:]:
+        key, equals, value = segment.partition("=")
         if not segment:
-            err(seg_start, DiagnosticKind.BAD_QUALIFIER, "empty qualifier")
-        elif "=" not in segment:
-            err(
-                seg_start,
-                DiagnosticKind.BAD_QUALIFIER,
-                f"qualifier {segment!r} is not of the form key=value",
-            )
+            err(at, DiagnosticKind.BAD_QUALIFIER, "empty qualifier")
+        elif not equals:
+            message = f"qualifier {segment!r} is not of the form key=value"
+            err(at, DiagnosticKind.BAD_QUALIFIER, message)
+        elif key not in _QUALIFIERS and permissive:
+            err(at, DiagnosticKind.UNKNOWN_QUALIFIER, f"unknown qualifier key {key!r} ignored")
+        elif key not in _QUALIFIERS:
+            err(at, DiagnosticKind.BAD_QUALIFIER, f"unknown qualifier key {key!r}")
+        elif key in found:
+            err(at, DiagnosticKind.BAD_QUALIFIER, f"duplicate {key} qualifier")
         else:
-            key, value = segment.split("=", 1)
-            if key == "origin":
-                if origin is not None:
-                    err(
-                        seg_start,
-                        DiagnosticKind.BAD_QUALIFIER,
-                        "duplicate origin qualifier",
-                    )
-                else:
-                    problem = _origin_problem(value)
-                    if problem:
-                        err(seg_start, DiagnosticKind.BAD_QUALIFIER, problem)
-                    else:
-                        if lines is not None:
-                            err(
-                                seg_start,
-                                DiagnosticKind.QUALIFIER_ORDER,
-                                "non-canonical qualifier order"
-                                " (origin belongs before lines)",
-                            )
-                        origin = value
-            elif key == "lines":
-                if lines is not None:
-                    err(
-                        seg_start,
-                        DiagnosticKind.BAD_QUALIFIER,
-                        "duplicate lines qualifier",
-                    )
-                else:
-                    match = _LINES_RE.match(value)
-                    if not match:
-                        err(
-                            seg_start,
-                            DiagnosticKind.BAD_QUALIFIER,
-                            f"malformed line range {value!r}",
-                        )
-                    else:
-                        start = int(match.group(1))
-                        end = int(match.group(2)) if match.group(2) else None
-                        if start < 1 or (end is not None and end < 1):
-                            err(
-                                seg_start,
-                                DiagnosticKind.BAD_LINE_RANGE,
-                                "line numbers are 1-indexed",
-                            )
-                        elif end is not None and end < start:
-                            err(
-                                seg_start,
-                                DiagnosticKind.BAD_LINE_RANGE,
-                                f"line range end {end} precedes start {start}",
-                            )
-                        else:
-                            lines = LineRange(start, end)
-            elif permissive:
-                err(
-                    seg_start,
-                    DiagnosticKind.UNKNOWN_QUALIFIER,
-                    f"unknown qualifier key {key!r} ignored",
-                )
+            try:
+                found[key] = _QUALIFIERS[key](value)
+            except _Invalid as exc:
+                err(at, *exc.args)
             else:
-                err(
-                    seg_start,
-                    DiagnosticKind.BAD_QUALIFIER,
-                    f"unknown qualifier key {key!r}",
-                )
-        seg_start = seg_end + 1
+                last = [k for k in _QUALIFIERS if k in found][-1]
+                if last != key:
+                    message = f"non-canonical qualifier order ({key} belongs before {last})"
+                    err(at, DiagnosticKind.QUALIFIER_ORDER, message)
+        at += len(segment) + 1
 
     if any(not d.is_warning for d in diags):
         return None, diags
-    assert object_type is not None and object_id is not None
-    value = QualifiedSwhid(
-        core=CoreSwhid(object_type, object_id), origin=origin, lines=lines
-    )
-    return value, diags
+    assert object_type is not None
+    object_id = ObjectId(bytes.fromhex(hex_part))
+    return QualifiedSwhid(CoreSwhid(object_type, object_id), **found), diags
 
 
 def parse(text: str, permissive: bool = False) -> QualifiedSwhid:

@@ -12,6 +12,7 @@ from swhid.syntax import (
     SwhidParseError,
     format_swhid,
     parse,
+    _origin_problem,
     validate,
 )
 
@@ -455,3 +456,25 @@ def test_every_diagnostic_and_canonical_form(text, permissive, diagnostics, cano
     with pytest.raises(SwhidParseError) as excinfo:
         parse(text, permissive=permissive)
     assert excinfo.value.diagnostic == next(d for d in found if not d.is_warning)
+
+
+def test_line_range_end_below_one_is_not_an_order_error():
+    with pytest.raises(ValueError, match="^line numbers are 1-indexed$"):
+        LineRange(5, 0)
+    with pytest.raises(ValueError, match="^line range end 4 precedes start 5$"):
+        LineRange(5, 4)
+
+
+def test_origin_rule_over_every_code_point():
+    # The oracle is the rule as written out: whitespace by str.isspace(), a C0
+    # control or DEL; ';' has a message of its own.
+    for code in range(0x110000):
+        char = chr(code)
+        problem = _origin_problem(f"https://a.org/{char}")
+        if char == ";":
+            expected = "origin URL may not contain ';'"
+        elif char.isspace() or code < 0x20 or code == 0x7F:
+            expected = "origin URL may not contain whitespace or control characters"
+        else:
+            expected = None
+        assert problem == expected, hex(code)
