@@ -241,9 +241,10 @@ def _lines(value: str) -> LineRange:
     match = _LINES_RE.match(value)
     if not match:
         raise _Invalid(DiagnosticKind.BAD_QUALIFIER, f"malformed line range {value!r}")
-    start, end = (None if digits is None else int(digits) for digits in match.groups())
+    start, end = match.groups()
+    bounds = int(start), None if end is None else int(end)
     try:
-        return LineRange(start, end)
+        return LineRange(*bounds)
     except ValueError as exc:
         raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, str(exc)) from None
 
