@@ -1,3 +1,4 @@
+import errno
 import fnmatch
 import hashlib
 import json
@@ -586,10 +587,25 @@ def test_store_failed_save_keeps_earlier_copy(tmp_path):
 def test_store_load_rejects_stray_entries(tmp_path):
     base = tmp_path / "exported"
     (base / "objects" / "zz").mkdir(parents=True)
-    with pytest.raises(StoreError):
+    with pytest.raises(StoreError) as excinfo:
         ObjectStore.load(base)
-    with pytest.raises(StoreError):
+    assert str(excinfo.value) == "unexpected entry 'zz' in objects/"
+    with pytest.raises(StoreError) as excinfo:
         ObjectStore.load(tmp_path / "never-written")
+    assert str(excinfo.value) == f"{tmp_path / 'never-written'}: no objects/ directory"
+    (base / "objects" / "zz").rmdir()
+    (base / "objects" / "ab").write_bytes(b"")
+    with pytest.raises(StoreError) as excinfo:
+        ObjectStore.load(base)
+    assert str(excinfo.value) == "unexpected entry 'ab' in objects/"
+    (base / "objects" / "ab").unlink()
+    for name in ("x", "ab" * 19 + "a", "AB" * 19):
+        (base / "objects" / "ab").mkdir(exist_ok=True)
+        (base / "objects" / "ab" / name).write_bytes(b"blob 0\x00")
+        with pytest.raises(StoreError) as excinfo:
+            ObjectStore.load(base)
+        assert str(excinfo.value) == f"unexpected entry {name!r} in objects/ab/"
+        (base / "objects" / "ab" / name).unlink()
 
 
 def test_store_audit_detects_tampering(tmp_path):
@@ -600,8 +616,10 @@ def test_store_audit_detects_tampering(tmp_path):
     victim = tmp_path / "exported" / "objects" / hexid[:2] / hexid[2:]
     victim.write_bytes(b"blob 7\x00tainted")
     # load() re-hashes every object, so tampering stops there, before audit.
-    with pytest.raises(StoreError, match=f"{hexid[2:]}: bytes do not hash"):
+    with pytest.raises(StoreError, match=f"{hexid[2:]}: bytes do not hash") as excinfo:
         ObjectStore.load(tmp_path / "exported")
+    where = f"objects/{hexid[:2]}/{hexid[2:]}"
+    assert str(excinfo.value) == f"{where}: bytes do not hash to the file name"
 
 
 def _exported(tmp_path, manifest, hexid=None):
@@ -621,20 +639,33 @@ def _exported(tmp_path, manifest, hexid=None):
         (b"blob 3abc", "header does not give"),
         (b"blob  3\x00abc", "header does not give"),
         (b"frob 3\x00abc", "unknown manifest kind"),
+        (b"blob", "header does not give"),
+        (b"blob3\x00abc", "unknown manifest kind"),
+        (b"", "unknown manifest kind"),
     ],
-    ids=["long", "zero-padded", "no-nul", "two-spaces", "unknown-kind"],
+    ids=["long", "zero-padded", "no-nul", "two-spaces", "unknown-kind", "kind-only",
+         "no-space", "empty"],
 )
 def test_store_load_rejects_bad_headers(tmp_path, manifest, message):
-    base, _ = _exported(tmp_path, manifest)
-    with pytest.raises(StoreError, match=message):
+    base, object_id = _exported(tmp_path, manifest)
+    with pytest.raises(StoreError, match=message) as excinfo:
         ObjectStore.load(base)
+    where = f"objects/{object_id.hex[:2]}/{object_id.hex[2:]}"
+    if message == "unknown manifest kind":
+        message += f" {manifest.split(b' ', 1)[0]!r}"
+    else:
+        message = "header does not give the body's length"
+    assert str(excinfo.value) == f"{where}: {message}"
 
 
 def test_store_load_turns_read_errors_into_store_errors(tmp_path):
     hexid = "ab" * 20
-    (tmp_path / "exported" / "objects" / "ab" / hexid[2:]).mkdir(parents=True)
-    with pytest.raises(StoreError, match=hexid[2:]):
+    item = tmp_path / "exported" / "objects" / "ab" / hexid[2:]
+    item.mkdir(parents=True)
+    with pytest.raises(StoreError, match=hexid[2:]) as excinfo:
         ObjectStore.load(tmp_path / "exported")
+    error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(item))
+    assert str(excinfo.value) == str(error)
 
 
 @pytest.mark.parametrize(
@@ -765,10 +796,24 @@ def test_verify_reports_mode_change(tmp_path):
 def test_verify_without_reference_reports_root_only(tmp_path):
     root = tmp_path / "proj"
     make_tree(root)
-    swhid, _ = ingest_path(root)
+    swhid, reference = ingest_path(root)
+    _, unrelated = ingest_path(root / "src")
     (root / "src" / "main.c").write_bytes(b"changed\n")
     report = verify_path(swhid, root)
     assert [d.path for d in report.detail] == [""]
+    # One row for the root, as (path, expected, actual, note): without a
+    # reference, with one that lacks the expected root, and for a content
+    # even when the reference holds the expected one.
+    main_c = CoreSwhid(ObjectType.CONTENT, content_id(Content(b"int main(void) { return 0; }\n")))
+    for expected, target, store in [
+        (swhid, root, None),
+        (swhid, root, unrelated),
+        (main_c, root / "src" / "main.c", reference),
+    ]:
+        report = verify_path(expected, target, reference=store)
+        actual = ingest_path(target)[0].object_id.hex
+        rows = [(d.path, d.expected_hex, d.actual_hex, d.note) for d in report.detail]
+        assert rows == [("", expected.object_id.hex, actual, "differs")]
 
 
 def test_verify_type_mismatches(tmp_path):
