@@ -64,6 +64,11 @@ def write_atomically(path: Path, emit: Callable[[Callable[[bytes], Any]], None])
         raise
 
 
+# The names save() gives an object's bucket and file: its id's first 2 and last 38 hex digits.
+_BUCKET_RE = re.compile(r"[0-9a-f]{2}")
+_ITEM_RE = re.compile(r"[0-9a-f]{38}")
+
+
 class ObjectStore:
     """In-memory map from (object type, object id) to manifest bytes.
 
@@ -82,22 +87,12 @@ class ObjectStore:
 
     def add(self, node: DagNode) -> CoreSwhid:
         """Store a node's manifest, returning its identifier."""
-        manifest = manifest_of(node)
+        return self._add_manifest(manifest_of(node))
+
+    def _add_manifest(self, manifest: bytes) -> CoreSwhid:
+        """Store a well-formed manifest; its type comes from the header's kind."""
         object_type = MANIFEST_KIND_TO_TYPE[manifest[: manifest.index(b" ")]]
-        object_id = ObjectId(hashlib.sha1(manifest).digest())
-        return self._insert(object_type, object_id, manifest)
-
-    def _add_tree(self, rows: List[Tuple[bytes, bytes, bytes]]) -> CoreSwhid:
-        body = tree_body(rows)
-        manifest = b"tree %d\x00%s" % (len(body), body)
-        object_id = ObjectId(hashlib.sha1(manifest).digest())
-        return self._insert(ObjectType.DIRECTORY, object_id, manifest)
-
-    def _add_file(self, path: str) -> Tuple[CoreSwhid, bytes]:
-        """Hash a regular file as a stream; its id and its mode token."""
-        mode, digest = _read_file(path)
-        token = _EXECUTABLE if mode & stat.S_IXUSR else _REGULAR
-        return self._insert(ObjectType.CONTENT, ObjectId(digest), path), token
+        return self._insert(object_type, ObjectId(hashlib.sha1(manifest).digest()), manifest)
 
     def _insert(self, object_type: ObjectType, object_id: ObjectId, value) -> CoreSwhid:
         with self._lock:
@@ -125,9 +120,7 @@ class ObjectStore:
         self._emit(object_id, entry[0], pieces.append)
         return b"".join(pieces)
 
-    def insertions(
-        self, object_type: ObjectType, object_id: ObjectId
-    ) -> int:
+    def insertions(self, object_type: ObjectType, object_id: ObjectId) -> int:
         """How many times add() has seen this object."""
         entry = self._objects.get((object_type, object_id))
         return 0 if entry is None else entry[1]
@@ -157,19 +150,22 @@ class ObjectStore:
     def save(self, root: Union[str, Path]) -> None:
         """Write manifests under root/objects/<2 hex>/<38 hex>.
 
-        A file that no longer hashes to its id raises StoreError. Each
-        object is written under a temporary name and renamed into place,
-        so a failed save leaves any earlier copy of it intact.
+        A file that no longer hashes to its id, or an OSError, raises
+        StoreError. Each object is written under a temporary name and renamed
+        into place, so a failed save leaves any earlier copy of it intact.
         """
         base = Path(root) / "objects"
-        for (_, object_id), (value, _) in self._objects.items():
-            hexid = object_id.hex
-            bucket = base / hexid[:2]
-            bucket.mkdir(parents=True, exist_ok=True)
-            write_atomically(
-                bucket / hexid[2:],
-                lambda write: self._emit(object_id, value, write),
-            )
+        try:
+            for (_, object_id), (value, _) in self._objects.items():
+                hexid = object_id.hex
+                bucket = base / hexid[:2]
+                bucket.mkdir(parents=True, exist_ok=True)
+                write_atomically(
+                    bucket / hexid[2:],
+                    lambda write: self._emit(object_id, value, write),
+                )
+        except OSError as exc:
+            raise StoreError(str(exc)) from exc
 
     @classmethod
     def load(cls, root: Union[str, Path]) -> "ObjectStore":
@@ -184,29 +180,26 @@ class ObjectStore:
         store = cls()
         try:
             for bucket in sorted(base.iterdir()):
-                if not bucket.is_dir() or not re.fullmatch(r"[0-9a-f]{2}", bucket.name):
+                if not bucket.is_dir() or not _BUCKET_RE.fullmatch(bucket.name):
                     raise StoreError(f"unexpected entry {bucket.name!r} in objects/")
+                where = f"objects/{bucket.name}/"
                 for item in sorted(bucket.iterdir()):
-                    store._load_item(bucket.name, item)
+                    if not _ITEM_RE.fullmatch(item.name):
+                        raise StoreError(f"unexpected entry {item.name!r} in {where}")
+                    manifest = item.read_bytes()
+                    kind = manifest.split(b" ", 1)[0]
+                    if kind not in MANIFEST_KIND_TO_TYPE:
+                        raise StoreError(f"{where}{item.name}: unknown manifest kind {kind!r}")
+                    header, nul, body = manifest.partition(b"\x00")
+                    if not nul or header != b"%s %d" % (kind, len(body)):
+                        raise StoreError(
+                            f"{where}{item.name}: header does not give the body's length"
+                        )
+                    if store._add_manifest(manifest).object_id.hex != bucket.name + item.name:
+                        raise StoreError(f"{where}{item.name}: bytes do not hash to the file name")
         except OSError as exc:
             raise StoreError(str(exc)) from exc
         return store
-
-    def _load_item(self, bucket: str, item: Path) -> None:
-        where = f"objects/{bucket}/{item.name}"
-        if not re.fullmatch(r"[0-9a-f]{38}", item.name):
-            raise StoreError(f"unexpected entry {item.name!r} in objects/{bucket}/")
-        manifest = item.read_bytes()
-        kind = manifest.split(b" ", 1)[0]
-        object_type = MANIFEST_KIND_TO_TYPE.get(kind)
-        if object_type is None:
-            raise StoreError(f"{where}: unknown manifest kind {kind!r}")
-        header, nul, body = manifest.partition(b"\x00")
-        if not nul or header != b"%s %d" % (kind, len(body)):
-            raise StoreError(f"{where}: header does not give the body's length")
-        if hashlib.sha1(manifest).hexdigest() != bucket + item.name:
-            raise StoreError(f"{where}: bytes do not hash to the file name")
-        self._insert(object_type, ObjectId.from_hex(bucket + item.name), manifest)
 
 
 # --- filesystem ingestion ----------------------------------------------------
@@ -241,33 +234,30 @@ def _read_file(path: str, sink: Optional[Callable[[bytes], Any]] = None) -> Tupl
     """
     try:
         fd = os.open(path, _OPEN_FLAGS)
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise UnreadableError(f"{path}: not a regular file")
+            size, done = st.st_size, 0
+            header = b"blob %d\x00" % size
+            digest = hashlib.sha1(header)
+            if sink is not None:
+                sink(header)
+            while done <= size:
+                want = min(size + 1 - done, _CHUNK)
+                chunk = os.read(fd, want)
+                if not chunk:
+                    break
+                digest.update(chunk)
+                if sink is not None:
+                    sink(chunk)
+                done += len(chunk)
+                if done == size and len(chunk) < want:
+                    break  # a short read reached the size: the end
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    try:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise UnreadableError(f"{path}: not a regular file")
-        size, done = st.st_size, 0
-        header = b"blob %d\x00" % size
-        digest = hashlib.sha1(header)
-        if sink is not None:
-            sink(header)
-        while done <= size:
-            want = min(size + 1 - done, _CHUNK)
-            try:
-                chunk = os.read(fd, want)
-            except OSError as exc:
-                raise _unreadable(path, exc) from exc
-            if not chunk:
-                break
-            digest.update(chunk)
-            if sink is not None:
-                sink(chunk)
-            done += len(chunk)
-            if done == size and len(chunk) < want:
-                break  # a short read reached the size: the end
-    finally:
-        os.close(fd)
     if done != size:
         raise UnreadableError(f"{path}: changed while being read ({done}/{size} bytes)")
     return st.st_mode, digest.digest()
@@ -299,7 +289,9 @@ def _ingest_leaf(
         return store.add(Content(target)), EntryPermission.SYMLINK.token
     if not is_file:
         raise UnsupportedNodeKindError(f"{path}: not a regular file, directory, or symlink")
-    return store._add_file(path)
+    mode, digest = _read_file(path)
+    token = _EXECUTABLE if mode & stat.S_IXUSR else _REGULAR
+    return store._insert(ObjectType.CONTENT, ObjectId(digest), path), token
 
 
 def ingest_path(
@@ -341,7 +333,8 @@ def ingest_path(
         child = next(children, None)
         if child is None:
             frames.pop()
-            swhid = store._add_tree(rows)
+            body = tree_body(rows)
+            swhid = store._add_manifest(b"tree %d\x00%s" % (len(body), body))
             token = EntryPermission.DIRECTORY.token
         else:
             name = child.name
@@ -387,9 +380,7 @@ class VerificationReport:
         return self.expected == self.actual
 
 
-def _tree_entries(
-    object_id: ObjectId, manifest: bytes
-) -> Dict[bytes, Tuple[bytes, ObjectId]]:
+def _tree_entries(object_id: ObjectId, manifest: bytes) -> Dict[bytes, Tuple[bytes, ObjectId]]:
     """name -> (mode, id) of a tree manifest; StoreError if it is malformed."""
     body = manifest[manifest.index(b"\x00") + 1 :]
     entries: Dict[bytes, Tuple[bytes, ObjectId]] = {}
@@ -421,30 +412,30 @@ def _localize(
     stack = [("", (tree, expected_id), (tree, actual_id))]
     while stack and len(out) < limit:
         rel, exp, act = stack.pop()
-        if act is None:
-            out.append(EntryMismatch(rel, exp[1].hex, None, "missing"))
-        elif exp is None:
-            out.append(EntryMismatch(rel, None, act[1].hex, "unexpected"))
-        elif exp == act:
+        if exp == act:
             continue
+        note = "differs"
+        if act is None:
+            note = "missing"
+        elif exp is None:
+            note = "unexpected"
         elif exp[1] == act[1]:
-            out.append(EntryMismatch(rel, exp[1].hex, act[1].hex, "mode differs"))
-        else:
-            expected = actual = None
-            if exp[0] == act[0] == tree:
-                expected = reference.get(ObjectType.DIRECTORY, exp[1])
-                actual = actual_store.get(ObjectType.DIRECTORY, act[1])
-            if expected is None or actual is None:
-                out.append(EntryMismatch(rel, exp[1].hex, act[1].hex, "differs"))
+            note = "mode differs"
+        elif exp[0] == act[0] == tree:
+            # Two trees: descend when both stores hold them, else report the pair.
+            expected = reference.get(ObjectType.DIRECTORY, exp[1])
+            actual = actual_store.get(ObjectType.DIRECTORY, act[1])
+            if expected is not None and actual is not None:
+                expected_entries = _tree_entries(exp[1], expected)
+                actual_entries = _tree_entries(act[1], actual)
+                names = set(expected_entries) | set(actual_entries)
+                for name in sorted(names, reverse=True):
+                    child_rel = f"{rel}/{os.fsdecode(name)}" if rel else os.fsdecode(name)
+                    stack.append(
+                        (child_rel, expected_entries.get(name), actual_entries.get(name))
+                    )
                 continue
-            expected_entries = _tree_entries(exp[1], expected)
-            actual_entries = _tree_entries(act[1], actual)
-            names = set(expected_entries) | set(actual_entries)
-            for name in sorted(names, reverse=True):
-                child_rel = f"{rel}/{os.fsdecode(name)}" if rel else os.fsdecode(name)
-                stack.append(
-                    (child_rel, expected_entries.get(name), actual_entries.get(name))
-                )
+        out.append(EntryMismatch(rel, exp and exp[1].hex, act and act[1].hex, note))
     return tuple(out)
 
 
@@ -472,24 +463,12 @@ def verify_path(
         )
     is_dir_node = stat.S_ISDIR(_lstat_root(path).st_mode)
     if is_dir_node != (core.object_type is ObjectType.DIRECTORY):
-        kind = "file" if is_dir_node else "directory"
-        raise TypeMismatchError(f"{path}: expected a {kind}")
+        raise TypeMismatchError(f"{path}: expected a {'file' if is_dir_node else 'directory'}")
     actual, actual_store = ingest_path(path, excludes)
-    report_detail: Tuple[EntryMismatch, ...] = ()
-    if actual.object_id != core.object_id:
-        if (
-            core.object_type is ObjectType.DIRECTORY
-            and reference is not None
-            and reference.get(ObjectType.DIRECTORY, core.object_id) is not None
-        ):
-            report_detail = _localize(
-                core.object_id, actual.object_id, reference, actual_store, detail_limit
-            )
-        else:
-            report_detail = (
-                EntryMismatch("", core.object_id.hex, actual.object_id.hex, "differs"),
-            )
-    return VerificationReport(expected=core, actual=actual, detail=report_detail)
+    # An empty store holds no expected tree, so the detail is the root alone.
+    store = ObjectStore() if reference is None else reference
+    detail = _localize(core.object_id, actual.object_id, store, actual_store, detail_limit)
+    return VerificationReport(expected=core, actual=actual, detail=detail)
 
 
 # --- line extraction ---------------------------------------------------------

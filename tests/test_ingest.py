@@ -584,6 +584,26 @@ def test_store_failed_save_keeps_earlier_copy(tmp_path):
     assert ObjectStore.load(out).audit() == []
 
 
+def test_store_save_turns_os_errors_into_store_errors(tmp_path):
+    store = ObjectStore()
+    hexid = store.add(Content(b"abc")).object_id.hex
+    objects = tmp_path / "exported" / "objects"
+    objects.mkdir(parents=True)
+    # The bucket taken by a regular file fails before any write; the object's
+    # name taken by a directory fails at the rename, after the write.
+    (objects / hexid[:2]).write_bytes(b"")
+    with pytest.raises(StoreError, match=str(objects / hexid[:2])) as excinfo:
+        store.save(tmp_path / "exported")
+    assert isinstance(excinfo.value.__cause__, FileExistsError)
+    (objects / hexid[:2]).unlink()
+    (objects / hexid[:2] / hexid[2:]).mkdir(parents=True)
+    with pytest.raises(StoreError) as excinfo:
+        store.save(tmp_path / "exported")
+    assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+    left = sorted(str(p.relative_to(objects)) for p in objects.rglob("*"))
+    assert left == [hexid[:2], f"{hexid[:2]}/{hexid[2:]}"]
+
+
 def test_store_load_rejects_stray_entries(tmp_path):
     base = tmp_path / "exported"
     (base / "objects" / "zz").mkdir(parents=True)
@@ -814,6 +834,20 @@ def test_verify_without_reference_reports_root_only(tmp_path):
         actual = ingest_path(target)[0].object_id.hex
         rows = [(d.path, d.expected_hex, d.actual_hex, d.note) for d in report.detail]
         assert rows == [("", expected.object_id.hex, actual, "differs")]
+
+
+def test_verify_detail_limit_bounds_every_path(tmp_path):
+    root = tmp_path / "proj"
+    make_tree(root)
+    swhid, reference = ingest_path(root)
+    (root / "src" / "main.c").write_bytes(b"changed\n")
+    (root / "docs" / "readme.txt").unlink()
+    # Without a reference, with one lacking the root, and with the full one.
+    for store, rows in [(None, 1), (ObjectStore(), 1), (reference, 2)]:
+        for limit in (0, 1, 20):
+            report = verify_path(swhid, root, reference=store, detail_limit=limit)
+            assert not report.matched
+            assert len(report.detail) == min(limit, rows)
 
 
 def test_verify_type_mismatches(tmp_path):
