@@ -242,7 +242,10 @@ def _lines(value: str) -> LineRange:
     if not match:
         raise _Invalid(DiagnosticKind.BAD_QUALIFIER, f"malformed line range {value!r}")
     start, end = match.groups()
-    bounds = int(start), None if end is None else int(end)
+    try:
+        bounds = int(start), None if end is None else int(end)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, "line number is too large") from None
     try:
         return LineRange(*bounds)
     except ValueError as exc:

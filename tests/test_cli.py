@@ -970,6 +970,7 @@ TWO_ROWS_JSON = """[
         (["identify", "--json", "--", "DIR/a", "-missing"], ExitStatus.IO_ERROR, ""),
         (["identify", "DIR/a", "--json", "DIR/b", "--", "-missing"], ExitStatus.IO_ERROR, ""),
         (["identify", "--jobs", "2", "DIR/b"], ExitStatus.OK, f"{B_ID}\tDIR/b\n"),
+        (["parse", f"{GPL3_ID};lines=" + "1" * 4301], ExitStatus.USAGE, ""),
     ],
 )
 def test_contract_child_exit_code_and_stdout(tmp_path, args, code, stdout):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,12 @@ def test_parse_single_line_qualifier():
             f"swh:1:cnt:{HEX};lines=1;lines=2",
             DiagnosticKind.BAD_QUALIFIER,
             59,
+        ),
+        pytest.param(
+            f"swh:1:cnt:{HEX};lines=" + "1" * 4301,
+            DiagnosticKind.BAD_LINE_RANGE,
+            51,
+            id="lines-4301-digits",
         ),
     ],
 )
@@ -456,6 +464,34 @@ def test_every_diagnostic_and_canonical_form(text, permissive, diagnostics, cano
     with pytest.raises(SwhidParseError) as excinfo:
         parse(text, permissive=permissive)
     assert excinfo.value.diagnostic == next(d for d in found if not d.is_warning)
+
+
+@pytest.mark.parametrize("permissive", [False, True])
+def test_line_number_too_large_to_convert(permissive):
+    # int() refuses more digits than sys.get_int_max_str_digits() allows
+    # (4 300 by default, 0 for no limit); such a number is a bad line range.
+    too_large = [(51, "bad-line-range", "line number is too large")]
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit, digits, diagnostics in [
+            (default, 4300, []),
+            (default, 4301, too_large),
+            (640, 641, too_large),
+            (0, 5000, []),
+        ]:
+            sys.set_int_max_str_digits(limit)
+            for value in ("1" * digits, "1-" + "9" * digits, "9" * digits + "-" + "9" * digits):
+                text = f"{P};lines={value}"
+                found = validate(text, permissive=permissive)
+                assert [(d.byte_offset, d.kind.value, d.message) for d in found] == diagnostics
+                if not diagnostics:
+                    assert str(parse(text, permissive=permissive)) == text
+                    continue
+                with pytest.raises(SwhidParseError) as excinfo:
+                    parse(text, permissive=permissive)
+                assert excinfo.value.diagnostic == found[0]
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_line_range_end_below_one_is_not_an_order_error():
