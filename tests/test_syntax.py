@@ -474,8 +474,8 @@ def test_line_number_too_large_to_convert(permissive):
     default = sys.get_int_max_str_digits()
     try:
         for limit, digits, diagnostics in [
-            (default, 4300, []),
-            (default, 4301, too_large),
+            (4300, 4300, []),
+            (4300, 4301, too_large),
             (640, 641, too_large),
             (0, 5000, []),
         ]:
