@@ -7,7 +7,6 @@ kind is one row of _KINDS, which both of them read.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import json
 import re
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -23,7 +22,7 @@ from .model import (
     Snapshot,
     swhid_of,
 )
-from .syntax import CoreSwhid, ObjectId, ObjectType
+from .syntax import CoreSwhid, ObjectId, ObjectType, _setattr, _Value
 
 if TYPE_CHECKING:
     from .ingest import ObjectStore
@@ -34,17 +33,22 @@ _HEX40_RE = re.compile(r"\A[0-9a-f]{40}\Z")
 _Json = Dict[str, Any]  # a JSON object
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class NodeDescription:
+class NodeDescription(_Value):
     """One parsed entry of a description document.
 
     fields holds the keyword arguments of the node's model class, except that
     an id slot may hold a str: the label a 'label:<name>' reference names.
+    Two descriptions are equal only if they are the same object.
     """
 
-    kind: ObjectType
-    label: Optional[str]
-    fields: Dict[str, Any]
+    __slots__ = ("kind", "label", "fields")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, kind: ObjectType, label: Optional[str], fields: Dict[str, Any]):
+        _setattr(self, "kind", kind)
+        _setattr(self, "label", label)
+        _setattr(self, "fields", fields)
 
 
 def _want(obj: _Json, key: str, types, loc: str) -> Any:

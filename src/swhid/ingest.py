@@ -8,7 +8,6 @@ reference store, walks both trees to localize the divergence.
 """
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import hashlib
 import os
@@ -35,7 +34,15 @@ from .model import (
     object_id_of,  # unused here; perfbench's tracer patches swhid.ingest.object_id_of
     tree_body,
 )
-from .syntax import CoreSwhid, LineRange, ObjectId, ObjectType, QualifiedSwhid
+from .syntax import (
+    CoreSwhid,
+    LineRange,
+    ObjectId,
+    ObjectType,
+    QualifiedSwhid,
+    _setattr,
+    _Value,
+)
 
 __all__ = [
     "ObjectStore",
@@ -359,21 +366,32 @@ def ingest_path(
 # --- verification ------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class EntryMismatch:
-    """One localized divergence. path is root-relative; "" is the root."""
+class EntryMismatch(_Value):
+    """One localized divergence. path is root-relative; "" is the root.
 
-    path: str
-    expected_hex: Optional[str]
-    actual_hex: Optional[str]
-    note: str  # "differs", "missing", "unexpected", or "mode differs"
+    note is "differs", "missing", "unexpected", or "mode differs".
+    """
+
+    __slots__ = ("path", "expected_hex", "actual_hex", "note")
+
+    def __init__(
+        self, path: str, expected_hex: Optional[str], actual_hex: Optional[str], note: str
+    ):
+        _setattr(self, "path", path)
+        _setattr(self, "expected_hex", expected_hex)
+        _setattr(self, "actual_hex", actual_hex)
+        _setattr(self, "note", note)
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
-    expected: CoreSwhid
-    actual: CoreSwhid
-    detail: Tuple[EntryMismatch, ...] = ()
+class VerificationReport(_Value):
+    __slots__ = ("expected", "actual", "detail")
+
+    def __init__(
+        self, expected: CoreSwhid, actual: CoreSwhid, detail: Tuple[EntryMismatch, ...] = ()
+    ):
+        _setattr(self, "expected", expected)
+        _setattr(self, "actual", actual)
+        _setattr(self, "detail", detail)
 
     @property
     def matched(self) -> bool:

@@ -10,7 +10,6 @@ snapshots have no git counterpart and use their own body format.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import re
@@ -23,7 +22,7 @@ from .errors import (
     MalformedNameError,
     MalformedPersonError,
 )
-from .syntax import CoreSwhid, ObjectId, ObjectType
+from .syntax import CoreSwhid, ObjectId, ObjectType, _setattr, _Value
 
 __all__ = [
     "Content",
@@ -50,11 +49,13 @@ __all__ = [
 _OFFSET_RE = re.compile(rb"\A[+-][0-9]{4}\Z")
 
 
-@dataclasses.dataclass(frozen=True)
-class Content:
+class Content(_Value):
     """A file's bytes. Nothing else participates in the id."""
 
-    data: bytes
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        _setattr(self, "data", data)
 
 
 class EntryPermission(enum.Enum):
@@ -71,38 +72,33 @@ class EntryPermission(enum.Enum):
         return self.value.encode("ascii")
 
 
-@dataclasses.dataclass(frozen=True)
-class DirectoryEntry:
-    name: bytes
-    permission: EntryPermission
-    target: ObjectId
+class DirectoryEntry(_Value):
+    __slots__ = ("name", "permission", "target")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: bytes, permission: EntryPermission, target: ObjectId):
+        if not name:
             raise InvalidNameError("directory entry name is empty")
-        if b"\x00" in self.name or b"/" in self.name:
-            raise InvalidNameError(
-                f"directory entry name {self.name!r} contains NUL or '/'"
-            )
+        if b"\x00" in name or b"/" in name:
+            raise InvalidNameError(f"directory entry name {name!r} contains NUL or '/'")
+        _setattr(self, "name", name)
+        _setattr(self, "permission", permission)
+        _setattr(self, "target", target)
 
 
-@dataclasses.dataclass(frozen=True)
-class Directory:
-    entries: Tuple[DirectoryEntry, ...] = ()
+class Directory(_Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Iterable[DirectoryEntry] = ()):
+        entries = tuple(entries)
         seen = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.name in seen:
-                raise DuplicateNameError(
-                    f"duplicate directory entry name {entry.name!r}"
-                )
+                raise DuplicateNameError(f"duplicate directory entry name {entry.name!r}")
             seen.add(entry.name)
+        _setattr(self, "entries", entries)
 
 
-@dataclasses.dataclass(frozen=True)
-class PersonStamp:
+class PersonStamp(_Value):
     """Author/committer/tagger identity plus timestamp.
 
     raw_person is preserved byte-for-byte (no name/email splitting, no
@@ -110,17 +106,16 @@ class PersonStamp:
     verbatim because '+0000' and '-0000' hash differently.
     """
 
-    raw_person: bytes
-    seconds: int
-    utc_offset: str = "+0000"
+    __slots__ = ("raw_person", "seconds", "utc_offset")
 
-    def __post_init__(self):
-        if b"\n" in self.raw_person:
+    def __init__(self, raw_person: bytes, seconds: int, utc_offset: str = "+0000"):
+        if b"\n" in raw_person:
             raise MalformedPersonError("person bytes contain a newline")
-        if not _OFFSET_RE.match(self.utc_offset.encode("ascii", "replace")):
-            raise MalformedPersonError(
-                f"UTC offset {self.utc_offset!r} is not +HHMM/-HHMM"
-            )
+        if not _OFFSET_RE.match(utc_offset.encode("ascii", "replace")):
+            raise MalformedPersonError(f"UTC offset {utc_offset!r} is not +HHMM/-HHMM")
+        _setattr(self, "raw_person", raw_person)
+        _setattr(self, "seconds", seconds)
+        _setattr(self, "utc_offset", utc_offset)
 
     def line(self, label: bytes) -> bytes:
         return b"%s %s %d %s\n" % (
@@ -131,42 +126,51 @@ class PersonStamp:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class Revision:
-    tree: ObjectId
-    parents: Tuple[ObjectId, ...]
-    author: PersonStamp
-    committer: PersonStamp
-    message: bytes
-    extra_headers: Tuple[Tuple[bytes, bytes], ...] = ()
+class Revision(_Value):
+    __slots__ = ("tree", "parents", "author", "committer", "message", "extra_headers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self, "extra_headers", tuple(map(tuple, self.extra_headers))
-        )
-        for key, _ in self.extra_headers:
+    def __init__(
+        self,
+        tree: ObjectId,
+        parents: Iterable[ObjectId],
+        author: PersonStamp,
+        committer: PersonStamp,
+        message: bytes,
+        extra_headers: Iterable[Tuple[bytes, bytes]] = (),
+    ):
+        parents = tuple(parents)
+        extra_headers = tuple(map(tuple, extra_headers))
+        for key, _ in extra_headers:
             if not key or b"\n" in key or b" " in key:
-                raise MalformedNameError(
-                    f"extra header key {key!r} is not a single word"
-                )
+                raise MalformedNameError(f"extra header key {key!r} is not a single word")
+        _setattr(self, "tree", tree)
+        _setattr(self, "parents", parents)
+        _setattr(self, "author", author)
+        _setattr(self, "committer", committer)
+        _setattr(self, "message", message)
+        _setattr(self, "extra_headers", extra_headers)
 
 
-@dataclasses.dataclass(frozen=True)
-class Release:
-    target: ObjectId
-    target_type: ObjectType
-    name: bytes
-    message: bytes
-    tagger: Optional[PersonStamp] = None
+class Release(_Value):
+    __slots__ = ("target", "target_type", "name", "message", "tagger")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(
+        self,
+        target: ObjectId,
+        target_type: ObjectType,
+        name: bytes,
+        message: bytes,
+        tagger: Optional[PersonStamp] = None,
+    ):
+        if not name:
             raise MalformedNameError("release name is empty")
-        if b"\x00" in self.name or b"\n" in self.name:
-            raise MalformedNameError(
-                f"release name {self.name!r} contains NUL or newline"
-            )
+        if b"\x00" in name or b"\n" in name:
+            raise MalformedNameError(f"release name {name!r} contains NUL or newline")
+        _setattr(self, "target", target)
+        _setattr(self, "target_type", target_type)
+        _setattr(self, "name", name)
+        _setattr(self, "message", message)
+        _setattr(self, "tagger", tagger)
 
 
 class BranchKind(enum.Enum):
@@ -185,26 +189,28 @@ class BranchKind(enum.Enum):
         return cls(object_type.long_name)
 
 
-@dataclasses.dataclass(frozen=True)
-class BranchTarget:
+class BranchTarget(_Value):
     """One snapshot branch: an object pointer, an alias, or dangling."""
 
-    kind: BranchKind
-    target: Optional[ObjectId] = None
-    alias_name: Optional[bytes] = None
+    __slots__ = ("kind", "target", "alias_name")
 
-    def __post_init__(self):
-        if self.kind is BranchKind.DANGLING:
-            if self.target is not None or self.alias_name is not None:
+    def __init__(
+        self,
+        kind: BranchKind,
+        target: Optional[ObjectId] = None,
+        alias_name: Optional[bytes] = None,
+    ):
+        if kind is BranchKind.DANGLING:
+            if target is not None or alias_name is not None:
                 raise ValueError("dangling branches carry no target")
-        elif self.kind is BranchKind.ALIAS:
-            if self.alias_name is None or self.target is not None:
+        elif kind is BranchKind.ALIAS:
+            if alias_name is None or target is not None:
                 raise ValueError("alias branches carry only a branch name")
-        else:
-            if self.target is None or self.alias_name is not None:
-                raise ValueError(
-                    f"{self.kind.value} branches carry exactly an object id"
-                )
+        elif target is None or alias_name is not None:
+            raise ValueError(f"{kind.value} branches carry exactly an object id")
+        _setattr(self, "kind", kind)
+        _setattr(self, "target", target)
+        _setattr(self, "alias_name", alias_name)
 
     @classmethod
     def to_object(
@@ -231,19 +237,15 @@ class BranchTarget:
         return self.target.raw
 
 
-@dataclasses.dataclass(frozen=True)
-class Snapshot:
-    branches: Mapping[bytes, BranchTarget] = dataclasses.field(
-        default_factory=dict
-    )
+class Snapshot(_Value):
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", dict(self.branches))
-        for name in self.branches:
+    def __init__(self, branches: Mapping[bytes, BranchTarget] = {}):  # copied, never mutated
+        branches = dict(branches)
+        for name in branches:
             if b"\x00" in name:
-                raise InvalidBranchNameError(
-                    f"branch name {name!r} contains NUL"
-                )
+                raise InvalidBranchNameError(f"branch name {name!r} contains NUL")
+        _setattr(self, "branches", branches)
 
 
 DagNode = Union[Content, Directory, Revision, Release, Snapshot]

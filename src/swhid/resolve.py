@@ -8,7 +8,6 @@ never retried.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import time
@@ -16,7 +15,7 @@ from typing import Callable, Optional, Union
 
 from .errors import IntegrityMismatchError, TransportError, TypeContradictionError
 from .model import Content, content_id
-from .syntax import CoreSwhid, ObjectType, QualifiedSwhid
+from .syntax import CoreSwhid, ObjectType, QualifiedSwhid, _setattr, _Value
 
 __all__ = [
     "ResolverKind",
@@ -36,28 +35,45 @@ class ResolverKind(enum.Enum):
     N2T = "n2t"
 
 
-@dataclasses.dataclass(frozen=True)
-class ResolverConfig:
+class ResolverConfig(_Value):
     """Endpoint shapes. Frozen defaults, overridable per call."""
 
-    archive_url: str = "https://archive.softwareheritage.org"
-    identifiers_org_url: str = "https://identifiers.org"
-    n2t_url: str = "https://n2t.net"
-    resolve_path: str = "/api/1/resolve/{swhid}/"
-    content_path: str = "/api/1/content/sha1_git:{hex}/raw/"
+    __slots__ = ("archive_url", "identifiers_org_url", "n2t_url", "resolve_path", "content_path")
+
+    def __init__(
+        self,
+        archive_url: str = "https://archive.softwareheritage.org",
+        identifiers_org_url: str = "https://identifiers.org",
+        n2t_url: str = "https://n2t.net",
+        resolve_path: str = "/api/1/resolve/{swhid}/",
+        content_path: str = "/api/1/content/sha1_git:{hex}/raw/",
+    ):
+        _setattr(self, "archive_url", archive_url)
+        _setattr(self, "identifiers_org_url", identifiers_org_url)
+        _setattr(self, "n2t_url", n2t_url)
+        _setattr(self, "resolve_path", resolve_path)
+        _setattr(self, "content_path", content_path)
 
 
 DEFAULT_CONFIG = ResolverConfig()
 
 
-@dataclasses.dataclass(frozen=True)
-class ResolvedMetadata:
+class ResolvedMetadata(_Value):
     """What the archive reports about an identifier."""
 
-    swhid: CoreSwhid
-    object_type_confirmed: bool
-    browse_url: Optional[str] = None
-    fetch_url: Optional[str] = None
+    __slots__ = ("swhid", "object_type_confirmed", "browse_url", "fetch_url")
+
+    def __init__(
+        self,
+        swhid: CoreSwhid,
+        object_type_confirmed: bool,
+        browse_url: Optional[str] = None,
+        fetch_url: Optional[str] = None,
+    ):
+        _setattr(self, "swhid", swhid)
+        _setattr(self, "object_type_confirmed", object_type_confirmed)
+        _setattr(self, "browse_url", browse_url)
+        _setattr(self, "fetch_url", fetch_url)
 
 
 def resolver_url(

@@ -10,9 +10,9 @@ returns the full list of diagnostics instead of stopping at the first error.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import SwhidError
@@ -41,6 +41,47 @@ _ORIGIN_FORBIDDEN_RE = re.compile(r"[\s\x00-\x1f\x7f]")
 # Version, type and id; a group is None where the identifier is truncated.
 _CORE_RE = re.compile(r"swh:([^:]*)(?::([^:]*)(?::([^;]*))?)?")
 
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Base of the frozen value types: each names its fields in __slots__.
+
+    Instances of one class are equal when their fields are, and hash by
+    them; an instance of another class is never equal. Fields are set once,
+    with object.__setattr__, by the class's own __init__; assigning or
+    deleting one afterwards raises AttributeError. copy and pickle call the
+    constructor again, with the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__slots__" in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)  # one C call, not a loop over the fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
 
 class ObjectType(enum.Enum):
     """The five node kinds, valued by their identifier tag."""
@@ -63,15 +104,23 @@ class ObjectType(enum.Enum):
         raise ValueError(f"unknown object type name {name!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class ObjectId:
+class ObjectId(_Value):
     """A 20-byte intrinsic object id (sha1 of the object's manifest)."""
 
-    raw: bytes
+    __slots__ = ("raw",)
 
-    def __post_init__(self):
-        if not isinstance(self.raw, bytes) or len(self.raw) != 20:
+    def __init__(self, raw: bytes):
+        if not isinstance(raw, bytes) or len(raw) != 20:
             raise ValueError("object id must be exactly 20 bytes")
+        _setattr(self, "raw", raw)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.raw == other.raw
+
+    def __hash__(self):
+        return hash(self.raw)
 
     @classmethod
     def from_hex(cls, hex_digits: str) -> "ObjectId":
@@ -87,19 +136,19 @@ class ObjectId:
         return self.hex
 
 
-@dataclasses.dataclass(frozen=True)
-class CoreSwhid:
+class CoreSwhid(_Value):
     """A bare identifier: scheme version, object type, object id."""
 
-    object_type: ObjectType
-    object_id: ObjectId
-    schema_version: int = SCHEMA_VERSION
+    __slots__ = ("object_type", "object_id", "schema_version")
 
-    def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported schema version {self.schema_version!r}"
-            )
+    def __init__(
+        self, object_type: ObjectType, object_id: ObjectId, schema_version: int = SCHEMA_VERSION
+    ):
+        if schema_version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {schema_version!r}")
+        _setattr(self, "object_type", object_type)
+        _setattr(self, "object_id", object_id)
+        _setattr(self, "schema_version", schema_version)
 
     def __str__(self) -> str:
         return (
@@ -108,22 +157,22 @@ class CoreSwhid:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class LineRange:
+class LineRange(_Value):
     """1-indexed inclusive line selection inside a content object.
 
     ``end is None`` selects the single line ``start``. ``end == start`` is
     distinct from that (it round-trips as ``N-N``, not ``N``).
     """
 
-    start: int
-    end: Optional[int] = None
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start < 1 or (self.end is not None and self.end < 1):
+    def __init__(self, start: int, end: Optional[int] = None):
+        if start < 1 or (end is not None and end < 1):
             raise ValueError("line numbers are 1-indexed")
-        if self.end is not None and self.end < self.start:
-            raise ValueError(f"line range end {self.end} precedes start {self.start}")
+        if end is not None and end < start:
+            raise ValueError(f"line range end {end} precedes start {start}")
+        _setattr(self, "start", start)
+        _setattr(self, "end", end)
 
     def __str__(self) -> str:
         if self.end is None:
@@ -144,19 +193,21 @@ def _origin_problem(url: str) -> Optional[str]:
     return None
 
 
-@dataclasses.dataclass(frozen=True)
-class QualifiedSwhid:
+class QualifiedSwhid(_Value):
     """A core identifier plus optional origin and line-range context."""
 
-    core: CoreSwhid
-    origin: Optional[str] = None
-    lines: Optional[LineRange] = None
+    __slots__ = ("core", "origin", "lines")
 
-    def __post_init__(self):
-        if self.origin is not None:
-            problem = _origin_problem(self.origin)
+    def __init__(
+        self, core: CoreSwhid, origin: Optional[str] = None, lines: Optional[LineRange] = None
+    ):
+        if origin is not None:
+            problem = _origin_problem(origin)
             if problem:
                 raise ValueError(problem)
+        _setattr(self, "core", core)
+        _setattr(self, "origin", origin)
+        _setattr(self, "lines", lines)
 
     @property
     def object_type(self) -> ObjectType:
@@ -198,16 +249,18 @@ _WARNING_KINDS = frozenset(
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Value):
     """One problem found in an identifier string.
 
     byte_offset is the UTF-8 offset of the start of the offending field.
     """
 
-    byte_offset: int
-    kind: DiagnosticKind
-    message: str
+    __slots__ = ("byte_offset", "kind", "message")
+
+    def __init__(self, byte_offset: int, kind: DiagnosticKind, message: str):
+        _setattr(self, "byte_offset", byte_offset)
+        _setattr(self, "kind", kind)
+        _setattr(self, "message", message)
 
     @property
     def is_warning(self) -> bool:
@@ -237,13 +290,18 @@ def _origin(value: str) -> str:
     return value
 
 
+def _line_number(digits: str) -> int:
+    # Leading zeros do not count against int()'s digit limit: the rule is on the value.
+    return int(digits.lstrip("0") or "0")
+
+
 def _lines(value: str) -> LineRange:
     match = _LINES_RE.match(value)
     if not match:
         raise _Invalid(DiagnosticKind.BAD_QUALIFIER, f"malformed line range {value!r}")
     start, end = match.groups()
     try:
-        bounds = int(start), None if end is None else int(end)
+        bounds = _line_number(start), None if end is None else _line_number(end)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
         raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, "line number is too large") from None
     try:
@@ -325,8 +383,12 @@ def _scan(text: str, permissive: bool) -> "tuple[Optional[QualifiedSwhid], list[
     if any(not d.is_warning for d in diags):
         return None, diags
     assert object_type is not None
-    object_id = ObjectId(bytes.fromhex(hex_part))
-    return QualifiedSwhid(CoreSwhid(object_type, object_id), **found), diags
+    # The qualifiers were checked above, so the value skips the constructor's origin check.
+    value = object.__new__(QualifiedSwhid)
+    _setattr(value, "core", CoreSwhid(object_type, ObjectId(bytes.fromhex(hex_part))))
+    _setattr(value, "origin", found.get("origin"))
+    _setattr(value, "lines", found.get("lines"))
+    return value, diags
 
 
 def parse(text: str, permissive: bool = False) -> QualifiedSwhid:

@@ -490,6 +490,20 @@ def test_line_number_too_large_to_convert(permissive):
                 with pytest.raises(SwhidParseError) as excinfo:
                     parse(text, permissive=permissive)
                 assert excinfo.value.diagnostic == found[0]
+        # Leading zeros do not count against the limit: the rule is on the value.
+        sys.set_int_max_str_digits(4300)
+        for value, canonical in [
+            ("0" * 4299 + "1", "1"),
+            ("0" * 4300 + "1", "1"),
+            ("0" * 5000 + "7-" + "0" * 5000 + "9", "7-9"),
+        ]:
+            text = f"{P};lines={value}"
+            assert validate(text, permissive=permissive) == []
+            assert str(parse(text, permissive=permissive)) == f"{P};lines={canonical}"
+        for value in ("0", "0" * 4301, "0" * 4301 + "-1"):
+            found = validate(f"{P};lines={value}", permissive=permissive)
+            one_indexed = [(51, "bad-line-range", "line numbers are 1-indexed")]
+            assert [(d.byte_offset, d.kind.value, d.message) for d in found] == one_indexed
     finally:
         sys.set_int_max_str_digits(default)
 
