@@ -4,35 +4,23 @@ Exit codes are part of the contract: 0 success, 1 verification mismatch,
 2 usage or syntax error, 3 I/O or network failure. argparse ends a usage
 error in 2; a SwhidError raised by any command ends in its class's
 exit_status (see swhid.errors), caught in one place: main().
+
+Each command imports the modules it needs when it runs, so a child that
+parses one identifier does not load the filesystem or network layers.
 """
 from __future__ import annotations
 
 import argparse
-import base64
-import json as jsonlib
 import os
 import sys
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import NoReturn, Optional, Sequence, Union
 
 from . import __version__
 from .errors import ExitStatus, SwhidError
-from .ingest import (
-    ObjectStore,
-    extract_lines,
-    ingest_path,
-    verify_path,
-    write_atomically,
-)
-from .model import Content, content_id
-from .resolve import (
-    ResolverKind,
-    fetch_content_verified,
-    resolve_metadata,
-    resolver_url,
-)
 from .syntax import ObjectType, parse, validate
+
+# The values of swhid.resolve.ResolverKind, which the parser lists without importing it.
+_RESOLVERS = ("archive-web", "archive-api", "identifiers-org", "n2t")
 
 
 def _fail(code: ExitStatus, message: str) -> NoReturn:
@@ -52,6 +40,8 @@ def _write(data: Union[str, bytes]) -> None:
 
 def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
+    from .ingest import ingest_path
+
     rows = []
     for path in args.paths:
         collected = [] if args.recursive else None
@@ -76,11 +66,15 @@ def _path_b64(path: str) -> dict:
         path.encode("utf-8")
         return {}
     except UnicodeEncodeError:
+        import base64
+
         return {"path_b64": base64.b64encode(os.fsencode(path)).decode()}
 
 
 def _json_rows(rows) -> str:
     """json.dumps(indent=2) of path/swhid dicts (plus _path_b64), at C speed."""
+    from json.encoder import encode_basestring_ascii
+
     out = []
     for path, swhid in rows:
         encoded = encode_basestring_ascii(path)
@@ -100,6 +94,8 @@ def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
         return ExitStatus.USAGE
     value = parse(args.identifier, args.permissive)
     if args.as_json:
+        import json
+
         fields = {
             "canonical": str(value),
             "schema_version": value.core.schema_version,
@@ -108,7 +104,7 @@ def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
             "origin": value.origin,
             "lines": str(value.lines) if value.lines else None,
         }
-        _write(jsonlib.dumps(fields, indent=2) + "\n")
+        _write(json.dumps(fields, indent=2) + "\n")
         return None
     lines = [
         f"canonical    {value}",
@@ -125,10 +121,14 @@ def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
 
 def verify(args: argparse.Namespace) -> ExitStatus:
     """Check that PATH still hashes to IDENTIFIER."""
+    from .ingest import ObjectStore, verify_path
+
     value = parse(args.identifier)
     reference = None if args.objects_dir is None else ObjectStore.load(args.objects_dir)
     report = verify_path(value, args.path, reference=reference, excludes=args.excludes)
     if args.as_json:
+        import json
+
         fields = {
             "expected": str(report.expected),
             "actual": str(report.actual),
@@ -144,7 +144,7 @@ def verify(args: argparse.Namespace) -> ExitStatus:
                 for d in report.detail
             ],
         }
-        _write(jsonlib.dumps(fields, indent=2) + "\n")
+        _write(json.dumps(fields, indent=2) + "\n")
     elif report.matched:
         _write(f"ok {report.expected}\n")
     else:
@@ -162,6 +162,8 @@ def verify(args: argparse.Namespace) -> ExitStatus:
 
 def resolve(args: argparse.Namespace) -> None:
     """Build a resolver URL, optionally checking the archive."""
+    from .resolve import ResolverKind, fetch_content_verified, resolve_metadata, resolver_url
+
     value = parse(args.identifier)
     fetch_to = args.fetch_to
     if fetch_to is not None and value.object_type is not ObjectType.CONTENT:
@@ -176,6 +178,10 @@ def resolve(args: argparse.Namespace) -> None:
         if metadata.browse_url:
             info["browse_url"] = metadata.browse_url
     if fetch_to is not None:
+        from pathlib import Path
+
+        from .ingest import write_atomically
+
         data = fetch_content_verified(value.core, endpoint)
         try:
             write_atomically(Path(fetch_to), lambda write: write(data))
@@ -184,7 +190,9 @@ def resolve(args: argparse.Namespace) -> None:
         info["written"] = fetch_to
         info["size"] = len(data)
     if args.as_json:
-        _write(jsonlib.dumps(info, indent=2) + "\n")
+        import json
+
+        _write(json.dumps(info, indent=2) + "\n")
         return
     lines = [url]
     if args.check:
@@ -196,6 +204,11 @@ def resolve(args: argparse.Namespace) -> None:
 
 def extract_lines_command(args: argparse.Namespace) -> None:
     """Write the line range a qualified identifier selects from PATH."""
+    from pathlib import Path
+
+    from .ingest import extract_lines
+    from .model import Content, content_id
+
     value = parse(args.identifier)
     if value.object_type is not ObjectType.CONTENT:
         _fail(ExitStatus.USAGE, "extract-lines needs a content identifier")
@@ -318,8 +331,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = command("resolve", resolve, "IDENTIFIER", json_help="Emit a JSON object.")
     sub.add_argument(
         "--resolver",
-        choices=[k.value for k in ResolverKind],
-        default=ResolverKind.ARCHIVE_WEB.value,
+        choices=_RESOLVERS,
+        default=_RESOLVERS[0],
         help="Which resolver to build a URL for (default: %(default)s).",
     )
     sub.add_argument(

@@ -11,8 +11,8 @@ import atexit
 import base64
 import functools
 import os
+import sys
 import threading
-import urllib.request
 from string import punctuation
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Callable, Optional, Tuple
@@ -76,7 +76,19 @@ def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, Optional[str]]]
     None). Reading the *_proxy variables costs ~0.2 ms, about as much as a
     whole GET from a local archive, so each target's answer is kept for
     the life of the process, as urlopen keeps its opener.
+
+    Outside macOS and Windows, whose system settings can name a proxy too,
+    urllib takes proxies from the environment alone, and only from a
+    non-empty variable named <scheme>_proxy in any case. Without one,
+    urllib.request, which costs more to import than http.client, is not
+    loaded.
     """
+    if sys.platform != "darwin" and os.name != "nt":
+        variable = f"{scheme}_proxy"
+        if not any(value and key.lower() == variable for key, value in os.environ.items()):
+            return None
+    import urllib.request
+
     proxy = urllib.request.getproxies().get(scheme)
     if not proxy or urllib.request.proxy_bypass(unquote(netloc)):
         return None

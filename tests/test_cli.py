@@ -16,6 +16,7 @@ from clirunner import CliRunner
 import swhid
 import swhid.cli
 import swhid.errors as errors
+import swhid.resolve
 from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
@@ -401,9 +402,9 @@ def test_resolve_check_other_object_id_is_mismatch(runner, archive):
 
 def _no_backoff(monkeypatch):
     for name in ("resolve_metadata", "fetch_content_verified"):
-        call = getattr(swhid.cli, name)
+        call = getattr(swhid.resolve, name)
         no_wait = functools.partial(call, sleep=lambda _: None)
-        monkeypatch.setattr(swhid.cli, name, no_wait)
+        monkeypatch.setattr(swhid.resolve, name, no_wait)
 
 
 @pytest.mark.parametrize(
@@ -571,6 +572,31 @@ def test_resolve_bypasses_proxy_for_no_proxy_hosts(archive):
         proxy.close()
     assert child.returncode == 0, child.stderr
     assert proxy.proxied == 0 and proxy.resolve_requests == 0
+    assert archive.resolve_requests == 1 and archive.proxied == 0
+
+
+@pytest.mark.parametrize(
+    "env, loaded",
+    [
+        ({}, False),
+        ({"http_proxy": "", "HTTPS_PROXY": "http://127.0.0.1:9", "no_proxy": "*"}, False),
+        ({"HTTP_PROXY": "http://127.0.0.1:9", "no_proxy": "127.0.0.1"}, True),
+    ],
+    ids=["no-proxy-variable", "none-for-http", "bypassed"],
+)
+def test_resolve_loads_urllib_request_only_when_a_proxy_can_apply(archive, env, loaded):
+    swhid = archive.add_content(b"direct\n")
+    probe = (
+        "import sys; from swhid.cli import main\n"
+        "try: main()\n"
+        "except SystemExit as exc: print(exc.code)\n"
+        "print('urllib.request' in sys.modules)"
+    )
+    args = ["resolve", "--check", "--endpoint", archive.endpoint, str(swhid)]
+    child = _cli_child(args, python=("-c", probe), **env)
+    assert child.returncode == 0, child.stderr
+    known = "known to archive (type confirmed)"
+    assert child.stdout.splitlines()[-3:] == [known, "None", str(loaded)]
     assert archive.resolve_requests == 1 and archive.proxied == 0
 
 
@@ -775,7 +801,7 @@ def _schema_error_in_identify(tmp_path, request):
     def broken(*args, **kwargs):
         raise errors.SchemaError("injected")
 
-    request.getfixturevalue("monkeypatch").setattr("swhid.cli.ingest_path", broken)
+    request.getfixturevalue("monkeypatch").setattr("swhid.ingest.ingest_path", broken)
     return ["identify", str(tmp_path)]
 
 
@@ -803,7 +829,7 @@ def test_interrupt_exits_1_without_traceback(runner, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("swhid.cli.ingest_path", interrupted)
+    monkeypatch.setattr("swhid.ingest.ingest_path", interrupted)
     result = runner.invoke(main, ["identify", str(tmp_path)])
     assert result.exit_code == 1
     assert result.stderr == "swhid: interrupted\n"
@@ -903,23 +929,43 @@ def _child_output(code: str) -> str:
         ("swhid", ["swhid"]),
         ("swhid.syntax", ["swhid", "swhid.errors", "swhid.syntax"]),
         (
-            "swhid.cli",
-            ["swhid", "swhid.cli", "swhid.errors", "swhid.ingest", "swhid.model"]
-            + ["swhid.resolve", "swhid.syntax"],
+            "swhid.describe",
+            ["swhid", "swhid.describe", "swhid.errors", "swhid.model", "swhid.syntax"],
         ),
+        ("swhid.cli", ["swhid", "swhid.cli", "swhid.errors", "swhid.syntax"]),
     ],
 )
 def test_import_loads_only_the_modules_it_uses(module, loaded):
     # The package imports its submodules on first use, and the CLI needs no
     # module from outside the standard library: a CLI child starts at little
-    # over interpreter cost.
-    network = ("http.client", "urllib.request")
+    # over interpreter cost. The value types are plain classes, so neither
+    # dataclasses nor the inspect module it loads is imported.
+    unwanted = ("http.client", "urllib.request", "dataclasses", "inspect")
     probe = (
         f"import sys; before = set(sys.modules); import {module}; "
         "print(sorted(m for m in set(sys.modules) - before"
-        f" if m.split('.')[0] not in sys.stdlib_module_names or m in {network!r}))"
+        f" if m.split('.')[0] not in sys.stdlib_module_names or m in {unwanted!r}))"
     )
     assert _child_output(probe) == repr(loaded)
+
+
+def test_parse_child_loads_neither_ingest_nor_transport():
+    # Each command imports what it runs: parse needs swhid.syntax alone.
+    probe = (
+        "import sys; from swhid.cli import main\n"
+        "try: main(['parse', '--json', sys.argv[1]])\n"
+        "except SystemExit as exc: print(exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('swhid')))"
+    )
+    child = _cli_child([GPL3_ID], python=("-c", probe))
+    assert child.returncode == 0, child.stderr
+    *output, code, loaded = child.stdout.splitlines()
+    assert json.loads("".join(output))["canonical"] == GPL3_ID and code == "None"
+    assert loaded == repr(["swhid", "swhid.cli", "swhid.errors", "swhid.syntax"])
+
+
+def test_parser_lists_every_resolver_kind():
+    assert swhid.cli._RESOLVERS == tuple(kind.value for kind in swhid.resolve.ResolverKind)
 
 
 def test_every_public_name_resolves_on_first_access():

@@ -188,7 +188,7 @@ def test_malformed_endpoint_is_transport_error(endpoint):
 @pytest.mark.parametrize("endpoint", MALFORMED_ENDPOINTS)
 def test_malformed_endpoint_exits_3_without_traceback(endpoint, monkeypatch):
     no_wait = functools.partial(resolve_metadata, sleep=lambda _: None)
-    monkeypatch.setattr("swhid.cli.resolve_metadata", no_wait)
+    monkeypatch.setattr("swhid.resolve.resolve_metadata", no_wait)
     result = CliRunner().invoke(
         main, ["resolve", "--check", "--endpoint", endpoint, CNT]
     )
