@@ -38,6 +38,12 @@ def _write(data: Union[str, bytes]) -> None:
     sys.stdout.buffer.write(data if isinstance(data, bytes) else os.fsencode(data))
 
 
+def _write_json(value) -> None:
+    import json
+
+    _write(json.dumps(value, indent=2) + "\n")
+
+
 def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
     from .ingest import ingest_path
@@ -94,8 +100,6 @@ def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
         return ExitStatus.USAGE
     value = parse(args.identifier, args.permissive)
     if args.as_json:
-        import json
-
         fields = {
             "canonical": str(value),
             "schema_version": value.core.schema_version,
@@ -104,7 +108,7 @@ def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
             "origin": value.origin,
             "lines": str(value.lines) if value.lines else None,
         }
-        _write(json.dumps(fields, indent=2) + "\n")
+        _write_json(fields)
         return None
     lines = [
         f"canonical    {value}",
@@ -127,8 +131,6 @@ def verify(args: argparse.Namespace) -> ExitStatus:
     reference = None if args.objects_dir is None else ObjectStore.load(args.objects_dir)
     report = verify_path(value, args.path, reference=reference, excludes=args.excludes)
     if args.as_json:
-        import json
-
         fields = {
             "expected": str(report.expected),
             "actual": str(report.actual),
@@ -144,7 +146,7 @@ def verify(args: argparse.Namespace) -> ExitStatus:
                 for d in report.detail
             ],
         }
-        _write(json.dumps(fields, indent=2) + "\n")
+        _write_json(fields)
     elif report.matched:
         _write(f"ok {report.expected}\n")
     else:
@@ -190,9 +192,7 @@ def resolve(args: argparse.Namespace) -> None:
         info["written"] = fetch_to
         info["size"] = len(data)
     if args.as_json:
-        import json
-
-        _write(json.dumps(info, indent=2) + "\n")
+        _write_json(info)
         return
     lines = [url]
     if args.check:

@@ -34,15 +34,7 @@ from .model import (
     object_id_of,  # unused here; perfbench's tracer patches swhid.ingest.object_id_of
     tree_body,
 )
-from .syntax import (
-    CoreSwhid,
-    LineRange,
-    ObjectId,
-    ObjectType,
-    QualifiedSwhid,
-    _setattr,
-    _Value,
-)
+from .syntax import CoreSwhid, LineRange, ObjectId, ObjectType, QualifiedSwhid, _setattr, _Value
 
 __all__ = [
     "ObjectStore",

@@ -45,13 +45,10 @@ _setattr = object.__setattr__
 
 
 class _Value:
-    """Base of the frozen value types: each names its fields in __slots__.
+    """Base of the frozen value types, whose fields are their __slots__.
 
-    Instances of one class are equal when their fields are, and hash by
-    them; an instance of another class is never equal. Fields are set once,
-    with object.__setattr__, by the class's own __init__; assigning or
-    deleting one afterwards raises AttributeError. copy and pickle call the
-    constructor again, with the fields in order.
+    Equal only within one class, and then by fields; hashed by fields; set
+    once by each class's own __init__; copied and pickled by calling it.
     """
 
     __slots__ = ()
