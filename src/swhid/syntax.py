@@ -55,8 +55,10 @@ class _Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if "__slots__" in cls.__dict__:
-            cls._key = attrgetter(*cls.__slots__)  # one C call, not a loop over the fields
+        if cls.__dict__.get("__slots__"):  # else a subclass that adds no field
+            cls._fields = cls.__slots__
+            # One C call per comparison or hash, not a Python loop over the fields.
+            cls._key = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,7 +69,7 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -77,7 +79,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 class ObjectType(enum.Enum):
