@@ -284,6 +284,9 @@ def test_value_copy_and_pickle(cls, fields, defaults, other, text):
     for duplicate in copies:
         assert type(duplicate) is cls and duplicate == value
         assert repr(duplicate) == text
+    # A subclass that adds no field keeps the fields' repr and copies.
+    twin = type(f"Twin{cls.__name__}", (cls,), {"__slots__": ()})(*fields.values())
+    assert repr(twin) == f"Twin{text}" and copy.copy(twin) == twin
 
 
 def test_node_description_compares_by_identity():
