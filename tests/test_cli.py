@@ -130,6 +130,43 @@ def test_identify_json_matches_json_dumps(runner, tmp_path):
         assert os.fsencode(row["path"]) == base64.b64decode(row["path_b64"])
 
 
+def test_identify_recursive_json_bytes(runner, tmp_path, monkeypatch):
+    top = tmp_path / "t"
+    (top / "sub").mkdir(parents=True)
+    (top / "build" / "deep").mkdir(parents=True)
+    (top / "a.txt").write_bytes(b"a\n")
+    (top / "run.sh").write_bytes(b"#!/bin/sh\n")
+    (top / "run.sh").chmod(0o755)
+    os.symlink("a.txt", top / "link")
+    (top / "sub" / "b.txt").write_bytes(b"b\n")
+    (top / "build" / "out.o").write_bytes(b"obj")
+    (top / "build" / "deep" / "x").write_bytes(b"x")
+    with open(os.path.join(os.fsencode(top), b"latin\xe9"), "wb") as fh:
+        fh.write(b"l\n")
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["identify", "--recursive", "--json", "--exclude", "build", "t"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (
+        b"[\n"
+        b'  {\n    "path": "t/a.txt",\n'
+        b'    "swhid": "swh:1:cnt:78981922613b2afb6025042ff6bd878ac1994e85"\n  },\n'
+        b'  {\n    "path": "t/latin\\udce9",\n'
+        b'    "path_b64": "dC9sYXRpbuk=",\n'
+        b'    "swhid": "swh:1:cnt:1f9d725a9de833a65966881dce2e907b86e72c5e"\n  },\n'
+        b'  {\n    "path": "t/link",\n'
+        b'    "swhid": "swh:1:cnt:8d14cbf983b3fad683171c9418998d9f68340823"\n  },\n'
+        b'  {\n    "path": "t/run.sh",\n'
+        b'    "swhid": "swh:1:cnt:1a2485251c33a70432394c93fb89330ef214bfc9"\n  },\n'
+        b'  {\n    "path": "t/sub/b.txt",\n'
+        b'    "swhid": "swh:1:cnt:61780798228d17af2d34fce4cfbdf35556832472"\n  },\n'
+        b'  {\n    "path": "t/sub",\n'
+        b'    "swhid": "swh:1:dir:f8f7aefc2900a3d737cea9eee45729fd55761e1a"\n  },\n'
+        b'  {\n    "path": "t",\n'
+        b'    "swhid": "swh:1:dir:b490affdf1c2c0eabe4d2cdd68bc28b7e9fc6d0b"\n  }\n'
+        b"]\n"
+    )
+
+
 def test_identify_recursive_lists_children_first(runner, tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "a.txt").write_bytes(b"a\n")

@@ -294,20 +294,27 @@ def test_ingest_never_opens_a_fifo(tmp_path, monkeypatch):
 def test_ingest_file_swapped_for_symlink(tmp_path, monkeypatch):
     root = tmp_path / "d"
     root.mkdir()
-    (root / "victim").write_bytes(b"scanned as a file")
+    victim = root / "victim"
+    victim.write_bytes(b"scanned as a file")
     (tmp_path / "outside").write_bytes(b"must not be hashed")
     real = os.open
+    swaps = []
 
     def swapping_open(path, *args, **kwargs):
         # Another process replaces the file between the scan and the open.
-        if os.path.basename(path) == "victim" and not os.path.islink(path):
-            os.unlink(path)
-            os.symlink(tmp_path / "outside", path)
+        # The swap names the victim in full: the walk may open it by its
+        # bare name relative to a directory fd.
+        if os.path.basename(path) == "victim" and not victim.is_symlink():
+            victim.unlink()
+            os.symlink(tmp_path / "outside", victim)
+            swaps.append(path)
         return real(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", swapping_open)
-    with pytest.raises(UnreadableError, match="victim"):
+    with pytest.raises(UnreadableError) as excinfo:
         ingest_path(root)
+    assert str(excinfo.value) == f"{victim}: Too many levels of symbolic links"
+    assert len(swaps) == 1
     os.unlink(root / "victim")
     (root / "victim").write_bytes(b"scanned as a file")
     result = CliRunner().invoke(main, ["identify", str(root)])
@@ -315,6 +322,45 @@ def test_ingest_file_swapped_for_symlink(tmp_path, monkeypatch):
     assert isinstance(result.exception, SystemExit)
     assert "victim" in result.output
     assert "Traceback" not in result.output
+    assert len(swaps) == 2
+
+
+def test_errors_below_the_root_name_absolute_paths(tmp_path, monkeypatch):
+    proj = tmp_path / "proj"
+    (proj / "sub" / "closed").mkdir(parents=True)
+    os.mkfifo(proj / "sub" / "pipe")
+    (proj / "sub" / "locked").write_bytes(b"secret")
+    refused = {"closed", "locked"}
+    real_open, real_scandir = os.open, os.scandir
+
+    def refusing(real):
+        # Tests run as root, where permission bits don't bite; refuse the
+        # open or listing of these names, given in full or bare.
+        def call(path, *args, **kwargs):
+            if not isinstance(path, int) and os.path.basename(path) in refused:
+                raise PermissionError(13, "Permission denied")
+            return real(path, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(os, "open", refusing(real_open))
+    monkeypatch.setattr(os, "scandir", refusing(real_scandir))
+    monkeypatch.chdir(tmp_path)
+    # However the root is given, an entry below it is named by its absolute path.
+    where = f"{tmp_path}/proj/sub"
+    for given in ("proj", "proj/", str(proj)):
+        with pytest.raises(UnreadableError) as excinfo:
+            ingest_path(given)
+        assert str(excinfo.value) == f"{where}/closed: Permission denied"
+        refused.discard("closed")
+        with pytest.raises(UnreadableError) as excinfo:
+            ingest_path(given)
+        assert str(excinfo.value) == f"{where}/locked: Permission denied"
+        refused.discard("locked")
+        with pytest.raises(UnsupportedNodeKindError) as excinfo:
+            ingest_path(given)
+        assert str(excinfo.value) == f"{where}/pipe: not a regular file, directory, or symlink"
+        refused.update(("closed", "locked"))
 
 
 def _walk_excluding(root: Path, patterns) -> set:
@@ -848,6 +894,47 @@ def test_verify_detail_limit_bounds_every_path(tmp_path):
             report = verify_path(swhid, root, reference=store, detail_limit=limit)
             assert not report.matched
             assert len(report.detail) == min(limit, rows)
+
+
+def _trees_only(store: ObjectStore, dest: Path) -> ObjectStore:
+    """An export of store's tree objects alone, loaded back."""
+    store.save(dest)
+    for item in (dest / "objects").glob("*/*"):
+        if not item.read_bytes().startswith(b"tree "):
+            item.unlink()
+    return ObjectStore.load(dest)
+
+
+def test_verify_detail_rows_against_a_trees_only_reference(tmp_path):
+    root = tmp_path / "proj"
+    make_tree(root)
+    swhid, full = ingest_path(root)
+    reference = _trees_only(full, tmp_path / "exported")
+    assert len(reference) == 4 and len(full) == 9
+    (root / "src" / "main.c").write_bytes(b"int main(void) { return 1; }\n")
+    (root / "src" / "util.c").chmod(0o755)
+    (root / "docs" / "readme.txt").unlink()
+    (root / "docs" / "intruder.txt").write_bytes(b"new\n")
+    os.unlink(root / "entry")
+    os.symlink("src/util.c", root / "entry")
+    (root / "empty" / "new").write_bytes(b"")
+    rows = [
+        ("docs/intruder.txt", None, "3e757656cf36eca53338e520d134963a44f793f8", "unexpected"),
+        ("docs/readme.txt", "ce013625030ba8dba906f756967f9e9ca394464a", None, "missing"),
+        ("empty/new", None, "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391", "unexpected"),
+        ("entry", "58777349ec0ce72459642aad19620b7bd1d3c3ff",
+         "75efe9c19d0e60e4e08d1f5a810a0fb6b713a946", "differs"),
+        ("src/main.c", "78f2de106c92b0d60772bd5aa6c1e6da7bf71005",
+         "98c444a915d0f839398f7db6061ee499cf4e6b6b", "differs"),
+        ("src/util.c", "3715665a84b0a35ab1ced45fef964fdc38bd64f8",
+         "3715665a84b0a35ab1ced45fef964fdc38bd64f8", "mode differs"),
+    ]
+    for limit in (0, 1, 20):
+        report = verify_path(swhid, root, reference=reference, detail_limit=limit)
+        assert str(report.actual) == "swh:1:dir:6dc6f4750f5a802b7fb568b8e6188fec64fe1771"
+        assert [(d.path, d.expected_hex, d.actual_hex, d.note) for d in report.detail] == (
+            rows[:limit]
+        )
 
 
 def test_verify_type_mismatches(tmp_path):
