@@ -17,7 +17,7 @@ from typing import NoReturn, Optional, Sequence, Union
 
 from . import __version__
 from .errors import ExitStatus, SwhidError
-from .syntax import ObjectType, parse, validate
+from .syntax import SCHEMA_VERSION, ObjectType, parse, validate
 
 # The values of swhid.resolve.ResolverKind, which the parser lists without importing it.
 _RESOLVERS = ("archive-web", "archive-api", "identifiers-org", "n2t")
@@ -46,20 +46,24 @@ def _write_json(value) -> None:
 
 def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
-    from .ingest import ingest_path
+    from .ingest import _walk
 
     rows = []
     for path in args.paths:
+        # Nothing is kept but the rows printed; --jobs changes nothing.
         collected = [] if args.recursive else None
-        swhid, _ = ingest_path(path, args.excludes, jobs=args.jobs, collect=collected)
-        if args.force_type is not None and swhid.object_type.value != args.force_type:
+        object_type, raw = _walk(path, args.excludes, rows=collected)
+        if args.force_type is not None and object_type.value != args.force_type:
             _fail(
                 ExitStatus.USAGE,
-                f"{path}: computed a {swhid.object_type.long_name}"
+                f"{path}: computed a {object_type.long_name}"
                 f" identifier, but --type {args.force_type} was requested",
             )
         prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
-        rows.extend((prefix + r if r else path, i) for r, i in collected or [("", swhid)])
+        rows.extend(
+            (prefix + r if r else path, f"swh:{SCHEMA_VERSION}:{t.value}:{i.hex()}")
+            for r, t, i in collected or [("", object_type, raw)]
+        )
     if args.as_json:
         _write(_json_rows(rows) + "\n")
     else:

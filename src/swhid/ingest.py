@@ -1,10 +1,13 @@
 """Filesystem ingestion, the deduplicating object store, and verification.
 
-ingest_path() walks a tree once, hashing each file as a stream, and stores
-one manifest per distinct object (a file is kept as its path, not its
-bytes). Symlinks are never followed: the link target bytes are the content,
-exactly as in version control. verify_path() recomputes an id and, given a
-reference store, walks both trees to localize the divergence.
+One walk, _walk(), hashes a tree once, each file as a stream, opening each
+directory and file by name relative to its parent directory's fd. It keeps
+only what its caller needs: ingest_path() stores one manifest per distinct
+object (a file is kept as its path, not its bytes), verify_path() keeps
+tree manifests, and the CLI's identify keeps nothing. Symlinks are never
+followed: the link target bytes are the content, exactly as in version
+control. verify_path() recomputes an id and, given a reference store, walks
+both trees to localize the divergence.
 """
 from __future__ import annotations
 
@@ -78,72 +81,79 @@ class ObjectStore:
     """
 
     def __init__(self):
-        # [value, insertions]: the value is a manifest, or (as str) the path
-        # of a file holding the content. One mapping, so an insert hashes
-        # its key once.
-        self._objects: Dict[Tuple[ObjectType, ObjectId], list] = {}
+        # raw digest -> [object type, value, insertions]: the value is a
+        # manifest, or (as str) the path of a file holding the content. Two
+        # types never share a digest, as the type is in the hashed header.
+        self._objects: Dict[bytes, list] = {}
         self._lock = threading.Lock()
 
     def add(self, node: DagNode) -> CoreSwhid:
         """Store a node's manifest, returning its identifier."""
-        return self._add_manifest(manifest_of(node))
+        object_type, raw = self._add_manifest(manifest_of(node))
+        return CoreSwhid(object_type, ObjectId(raw))
 
-    def _add_manifest(self, manifest: bytes) -> CoreSwhid:
+    def _add_manifest(self, manifest: bytes) -> Tuple[ObjectType, bytes]:
         """Store a well-formed manifest; its type comes from the header's kind."""
         object_type = MANIFEST_KIND_TO_TYPE[manifest[: manifest.index(b" ")]]
-        return self._insert(object_type, ObjectId(hashlib.sha1(manifest).digest()), manifest)
+        raw = hashlib.sha1(manifest).digest()
+        self._insert(object_type, raw, manifest)
+        return object_type, raw
 
-    def _insert(self, object_type: ObjectType, object_id: ObjectId, value) -> CoreSwhid:
+    def _insert(self, object_type: ObjectType, raw: bytes, value) -> None:
         with self._lock:
-            self._objects.setdefault((object_type, object_id), [value, 0])[1] += 1
-        return CoreSwhid(object_type, object_id)
+            self._objects.setdefault(raw, [object_type, value, 0])[2] += 1
 
-    def _emit(self, object_id: ObjectId, value, sink: Callable[[bytes], Any]) -> None:
+    def _emit(self, raw: bytes, value, sink: Callable[[bytes], Any]) -> None:
         """Feed a manifest to sink; StoreError if a re-read file no longer matches its id."""
         if isinstance(value, bytes):
             sink(value)
             return
         try:
-            _, digest = _read_file(value, sink)
+            _, digest = _read_file(value, value, sink)
         except UnreadableError as exc:
-            raise StoreError(f"content {object_id.hex}: {exc}") from exc
-        if digest != object_id.raw:
-            raise StoreError(f"content {object_id.hex}: {value} changed since ingest")
+            raise StoreError(f"content {raw.hex()}: {exc}") from exc
+        if digest != raw:
+            raise StoreError(f"content {raw.hex()}: {value} changed since ingest")
+
+    def _entry(self, object_type: ObjectType, raw: bytes) -> Optional[list]:
+        entry = self._objects.get(raw)
+        return entry if entry is not None and entry[0] is object_type else None
 
     def get(self, object_type: ObjectType, object_id: ObjectId) -> Optional[bytes]:
         """The object's manifest, or None. StoreError if its file changed."""
-        entry = self._objects.get((object_type, object_id))
+        entry = self._entry(object_type, object_id.raw)
         if entry is None:
             return None
         pieces: List[bytes] = []
-        self._emit(object_id, entry[0], pieces.append)
+        self._emit(object_id.raw, entry[1], pieces.append)
         return b"".join(pieces)
 
     def insertions(self, object_type: ObjectType, object_id: ObjectId) -> int:
         """How many times add() has seen this object."""
-        entry = self._objects.get((object_type, object_id))
-        return 0 if entry is None else entry[1]
+        entry = self._entry(object_type, object_id.raw)
+        return 0 if entry is None else entry[2]
 
     def __len__(self) -> int:
         return len(self._objects)
 
     def __contains__(self, key: Tuple[ObjectType, ObjectId]) -> bool:
-        return key in self._objects
+        object_type, object_id = key
+        return self._entry(object_type, object_id.raw) is not None
 
-    def __iter__(self):
-        return iter(self._objects)
+    def __iter__(self) -> Iterator[Tuple[ObjectType, ObjectId]]:
+        return ((entry[0], ObjectId(raw)) for raw, entry in self._objects.items())
 
     def audit(self) -> List[CoreSwhid]:
         """Re-hash every manifest; return identifiers that no longer match."""
         bad = []
-        for (object_type, object_id), (value, _) in self._objects.items():
+        for raw, (object_type, value, _) in self._objects.items():
             digest = hashlib.sha1()
             try:
-                self._emit(object_id, value, digest.update)
+                self._emit(raw, value, digest.update)
             except StoreError:
                 pass  # the digest cannot match either
-            if digest.digest() != object_id.raw:
-                bad.append(CoreSwhid(object_type, object_id))
+            if digest.digest() != raw:
+                bad.append(CoreSwhid(object_type, ObjectId(raw)))
         return bad
 
     def save(self, root: Union[str, Path]) -> None:
@@ -155,13 +165,13 @@ class ObjectStore:
         """
         base = Path(root) / "objects"
         try:
-            for (_, object_id), (value, _) in self._objects.items():
-                hexid = object_id.hex
+            for raw, (_, value, _) in self._objects.items():
+                hexid = raw.hex()
                 bucket = base / hexid[:2]
                 bucket.mkdir(parents=True, exist_ok=True)
                 write_atomically(
                     bucket / hexid[2:],
-                    lambda write: self._emit(object_id, value, write),
+                    lambda write: self._emit(raw, value, write),
                 )
         except OSError as exc:
             raise StoreError(str(exc)) from exc
@@ -194,7 +204,7 @@ class ObjectStore:
                         raise StoreError(
                             f"{where}{item.name}: header does not give the body's length"
                         )
-                    if store._add_manifest(manifest).object_id.hex != bucket.name + item.name:
+                    if store._add_manifest(manifest)[1].hex() != bucket.name + item.name:
                         raise StoreError(f"{where}{item.name}: bytes do not hash to the file name")
         except OSError as exc:
             raise StoreError(str(exc)) from exc
@@ -207,9 +217,16 @@ class ObjectStore:
 _CHUNK = 1 << 16
 _REGULAR = EntryPermission.REGULAR_FILE.token
 _EXECUTABLE = EntryPermission.EXECUTABLE_FILE.token
+_SYMLINK = EntryPermission.SYMLINK.token
+_TREE = EntryPermission.DIRECTORY.token
 # A link in the last component fails to open, and a FIFO opens without
 # blocking; fstat on the fd then says what was opened.
 _OPEN_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW
+# The walk holds at most this many directory fds; see _walk.
+_HELD_FDS = 64
+# An entry's kind, from its scandir type.
+_DIR, _FILE, _LINK, _OTHER = range(4)
 
 
 def _unreadable(path: str, exc: OSError) -> UnreadableError:
@@ -223,16 +240,22 @@ def _lstat_root(path: Union[str, Path]) -> os.stat_result:
         raise NotFoundError(f"{path}: no such file or directory") from None
 
 
-def _read_file(path: str, sink: Optional[Callable[[bytes], Any]] = None) -> Tuple[int, bytes]:
+def _read_file(
+    name: str,
+    path: str,
+    sink: Optional[Callable[[bytes], Any]] = None,
+    dir_fd: Optional[int] = None,
+) -> Tuple[int, bytes]:
     """A regular file's st_mode and the sha1 of its blob manifest.
 
+    The file is name, relative to dir_fd if given; path names it in errors.
     sink, if given, receives the manifest: header, then bytes. Mode, size and
     bytes come from one fd, whose fstat must show a regular file. A file that
     is not, that reads to another length than its size, or any OSError
     raises UnreadableError. A file under 64 KiB takes one read.
     """
     try:
-        fd = os.open(path, _OPEN_FLAGS)
+        fd = os.open(name, _OPEN_FLAGS, dir_fd=dir_fd)
         try:
             st = os.fstat(fd)
             if not stat.S_ISREG(st.st_mode):
@@ -262,35 +285,174 @@ def _read_file(path: str, sink: Optional[Callable[[bytes], Any]] = None) -> Tupl
     return st.st_mode, digest.digest()
 
 
-def _scan(path: str, rel: str, excluded) -> Iterator[os.DirEntry]:
-    """A directory's entries whose name and relative path are not excluded, by name."""
-    prefix = f"{rel}/" if rel else ""
+def _leaf(
+    name: str, dir_fd: Optional[int], path: str, kind: int, store: Optional[ObjectStore]
+) -> Tuple[bytes, bytes]:
+    """A non-directory's mode token and raw id; store, if given, keeps the content."""
+    if kind == _LINK:
+        try:
+            target = os.readlink(os.fsencode(name), dir_fd=dir_fd)
+        except OSError as exc:
+            raise _unreadable(path, exc) from exc
+        manifest = manifest_of(Content(target))
+        raw = hashlib.sha1(manifest).digest()
+        if store is not None:
+            store._insert(ObjectType.CONTENT, raw, manifest)
+        return _SYMLINK, raw
+    if kind != _FILE:
+        raise UnsupportedNodeKindError(f"{path}: not a regular file, directory, or symlink")
+    mode, raw = _read_file(name, path, dir_fd=dir_fd)
+    if store is not None:
+        store._insert(ObjectType.CONTENT, raw, path)
+    return _EXECUTABLE if mode & stat.S_IXUSR else _REGULAR, raw
+
+
+def _open_dir(name: str, dir_fd: Optional[int], path: str) -> int:
     try:
-        with os.scandir(path) as it:
-            kept = [
-                e for e in it
-                if not (excluded and (excluded(e.name) or excluded(prefix + e.name)))
-            ]
+        return os.open(name, _DIR_FLAGS, dir_fd=dir_fd)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    kept.sort(key=lambda entry: entry.name)
+
+
+def _scan(fd: int, path: str, prefix: str, excluded) -> Iterator[Tuple[str, int]]:
+    """(name, kind) of a directory's entries whose name and relative path are not excluded.
+
+    prefix is what the entries' relative paths start with. Sorted by name.
+    Each kind comes from the scandir type while fd is open, with no stat
+    of its own where the filesystem gives the type.
+    """
+    kept = []
+    try:
+        with os.scandir(fd) as it:
+            for entry in it:
+                name = entry.name
+                if excluded and (excluded(name) or excluded(prefix + name)):
+                    continue
+                try:
+                    if entry.is_dir(follow_symlinks=False):
+                        kind = _DIR
+                    elif entry.is_file(follow_symlinks=False):
+                        kind = _FILE
+                    else:
+                        kind = _LINK if entry.is_symlink() else _OTHER
+                except OSError as exc:
+                    raise _unreadable(os.path.join(path, name), exc) from exc
+                kept.append((name, kind))
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    kept.sort()
     return iter(kept)
 
 
-def _ingest_leaf(
-    path: str, is_link: bool, is_file: bool, store: ObjectStore
-) -> Tuple[CoreSwhid, bytes]:
-    if is_link:
-        try:
-            target = os.readlink(os.fsencode(path))
-        except OSError as exc:
-            raise _unreadable(path, exc) from exc
-        return store.add(Content(target)), EntryPermission.SYMLINK.token
-    if not is_file:
-        raise UnsupportedNodeKindError(f"{path}: not a regular file, directory, or symlink")
-    mode, digest = _read_file(path)
-    token = _EXECUTABLE if mode & stat.S_IXUSR else _REGULAR
-    return store._insert(ObjectType.CONTENT, ObjectId(digest), path), token
+class _Frame:
+    """A directory being read by _walk."""
+
+    __slots__ = ("name", "rel", "path", "prefix", "entries", "rows", "fd")
+
+    def __init__(self, name: str, rel: str, path: str, fd: int):
+        self.name = name  # its entry name in its parent
+        self.rel = rel  # the path its entries' relative paths start with: "" or "a/b/"
+        self.path = path  # its absolute path, as errors name it
+        self.prefix = os.path.join(path, "")  # what its entries' absolute paths start with
+        self.entries: Iterator[Tuple[str, int]] = iter(())  # (name, kind) left to walk
+        self.rows: List[Tuple[bytes, bytes, bytes]] = []  # (name, mode token, raw id) done
+        self.fd: Any = fd  # or, while closed, its (st_dev, st_ino)
+
+
+def _walk(
+    path: Union[str, Path],
+    excludes: Sequence[str] = (),
+    trees: Optional[ObjectStore] = None,
+    contents: Optional[ObjectStore] = None,
+    rows: Optional[List[Tuple[str, ObjectType, bytes]]] = None,
+) -> Tuple[ObjectType, bytes]:
+    """The object type and raw id of a filesystem node.
+
+    trees and contents, if given, keep the directories and the contents
+    reached. rows, if given, receives (root-relative path, type, raw id)
+    for every node, children before parents; the root's path is "".
+    """
+    mode = _lstat_root(path).st_mode
+    # Absolute, so the store still finds its files after a chdir.
+    root = os.path.join(os.getcwd(), os.fspath(path))
+    if not stat.S_ISDIR(mode):
+        kind = _LINK if stat.S_ISLNK(mode) else _FILE if stat.S_ISREG(mode) else _OTHER
+        _, raw = _leaf(root, None, root, kind, contents)
+        if rows is not None:
+            rows.append(("", ObjectType.CONTENT, raw))
+        return ObjectType.CONTENT, raw
+    # One regex for all patterns, each anchored as fnmatchcase anchors it.
+    excluded = excludes and re.compile("|".join(map(fnmatch.translate, excludes))).match
+    # Post-order walk over a stack of frames. Each directory is opened by
+    # name relative to its parent's fd with O_NOFOLLOW, and each file
+    # relative to its directory's, so an entry swapped for a symlink after
+    # the scan fails instead of being followed. Names from scandir are
+    # never empty and hold no '/' or NUL, so rows skip the checks
+    # DirectoryEntry makes for library callers.
+    #
+    # Only the deepest _HELD_FDS frames hold their fd. A shallower one is
+    # closed and keeps its (st_dev, st_ino) instead; when the walk returns
+    # to it, it is reopened as ".." of its child and must be the same
+    # directory, else UnreadableError.
+    frames = [_Frame("", "", root, _open_dir(root, None, root))]
+    held = 1
+    try:
+        frames[0].entries = _scan(frames[0].fd, root, "", excluded)
+        while True:
+            frame = frames[-1]
+            fd, prefix, rel, done = frame.fd, frame.prefix, frame.rel, frame.rows
+            for name, kind in frame.entries:
+                if kind == _DIR:
+                    child_path = prefix + name
+                    child_fd = _open_dir(name, fd, child_path)
+                    child = _Frame(name, f"{rel}{name}/", child_path, child_fd)
+                    frames.append(child)
+                    held += 1
+                    if held > _HELD_FDS:
+                        dropped = frames[-1 - _HELD_FDS]
+                        dropped_fd = dropped.fd
+                        st = os.fstat(dropped_fd)
+                        dropped.fd = (st.st_dev, st.st_ino)
+                        held -= 1
+                        os.close(dropped_fd)
+                    child.entries = _scan(child.fd, child.path, child.rel, excluded)
+                    break
+                token, raw = _leaf(name, fd, prefix + name, kind, contents)
+                if rows is not None:
+                    rows.append((rel + name, ObjectType.CONTENT, raw))
+                done.append((os.fsencode(name), token, raw))
+            else:
+                body = tree_body(done)
+                manifest = b"tree %d\x00%s" % (len(body), body)
+                raw = hashlib.sha1(manifest).digest()
+                if trees is not None:
+                    trees._insert(ObjectType.DIRECTORY, raw, manifest)
+                if rows is not None:
+                    rows.append((rel[:-1], ObjectType.DIRECTORY, raw))
+                if len(frames) == 1:
+                    break
+                parent = frames[-2]
+                if held == 1:
+                    parent.fd = _reopen(fd, parent.fd, parent.path)
+                    held += 1
+                frames.pop()
+                held -= 1
+                os.close(fd)
+                parent.rows.append((os.fsencode(frame.name), _TREE, raw))
+    finally:
+        for frame in frames[len(frames) - held :]:
+            os.close(frame.fd)
+    return ObjectType.DIRECTORY, raw
+
+
+def _reopen(child_fd: int, identity: Tuple[int, int], path: str) -> int:
+    """An fd on ".." of child_fd; UnreadableError unless it is the directory identity names."""
+    fd = _open_dir("..", child_fd, path)
+    st = os.fstat(fd)
+    if (st.st_dev, st.st_ino) != identity:
+        os.close(fd)
+        raise UnreadableError(f"{path}: moved while being read")
+    return fd
 
 
 def ingest_path(
@@ -308,51 +470,13 @@ def ingest_path(
     node, children before parents; the root's relative path is "".
     jobs is accepted for compatibility: files are hashed in one thread.
     """
-    mode = _lstat_root(path).st_mode
-    # Absolute, so the store still finds its files after a chdir.
-    root = os.path.join(os.getcwd(), os.fspath(path))
     if store is None:
         store = ObjectStore()
-    if not stat.S_ISDIR(mode):
-        swhid, _ = _ingest_leaf(root, stat.S_ISLNK(mode), stat.S_ISREG(mode), store)
-        if collect is not None:
-            collect.append(("", swhid))
-        return swhid, store
-    # One regex for all patterns, each anchored as fnmatchcase anchors it.
-    excluded = excludes and re.compile("|".join(map(fnmatch.translate, excludes))).match
-    # Post-order walk. A frame is a directory being read: name, relative
-    # path, entries left, and the (name, mode token, raw id) rows of the
-    # entries finished. Each entry is classified by its scandir type, with
-    # no stat of its own; a file's mode comes from fstat when it is read.
-    # Names from scandir are never empty and hold no '/' or NUL, so rows
-    # skip the checks DirectoryEntry makes for library callers.
-    frames = [("", "", _scan(root, "", excluded), [])]
-    while frames:
-        name, rel, children, rows = frames[-1]
-        child = next(children, None)
-        if child is None:
-            frames.pop()
-            body = tree_body(rows)
-            swhid = store._add_manifest(b"tree %d\x00%s" % (len(body), body))
-            token = EntryPermission.DIRECTORY.token
-        else:
-            name = child.name
-            rel = f"{rel}/{name}" if rel else name
-            try:
-                is_dir = child.is_dir(follow_symlinks=False)
-                is_link = child.is_symlink()
-                is_file = child.is_file(follow_symlinks=False)
-            except OSError as exc:
-                raise _unreadable(child.path, exc) from exc
-            if is_dir:
-                frames.append((name, rel, _scan(child.path, rel, excluded), []))
-                continue
-            swhid, token = _ingest_leaf(child.path, is_link, is_file, store)
-        if collect is not None:
-            collect.append((rel, swhid))
-        if frames:
-            frames[-1][3].append((os.fsencode(name), token, swhid.object_id.raw))
-    return swhid, store
+    rows = None if collect is None else []
+    object_type, raw = _walk(path, excludes, store, store, rows)
+    if collect is not None:
+        collect.extend((rel, CoreSwhid(t, ObjectId(r))) for rel, t, r in rows)
+    return CoreSwhid(object_type, ObjectId(raw)), store
 
 
 # --- verification ------------------------------------------------------------
@@ -390,36 +514,37 @@ class VerificationReport(_Value):
         return self.expected == self.actual
 
 
-def _tree_entries(object_id: ObjectId, manifest: bytes) -> Dict[bytes, Tuple[bytes, ObjectId]]:
-    """name -> (mode, id) of a tree manifest; StoreError if it is malformed."""
+def _tree_entries(raw: bytes, manifest: bytes) -> Dict[bytes, Tuple[bytes, bytes]]:
+    """name -> (mode, raw id) of a tree manifest; StoreError if it is malformed."""
     body = manifest[manifest.index(b"\x00") + 1 :]
-    entries: Dict[bytes, Tuple[bytes, ObjectId]] = {}
+    entries: Dict[bytes, Tuple[bytes, bytes]] = {}
     pos = 0
     try:
         while pos < len(body):
             space = body.index(b" ", pos)
             nul = body.index(b"\x00", space)
-            name = body[space + 1 : nul]
-            entries[name] = (body[pos:space], ObjectId(body[nul + 1 : nul + 21]))
-            pos = nul + 21
+            end = nul + 21
+            if end > len(body):
+                raise ValueError("short id")
+            entries[body[space + 1 : nul]] = (body[pos:space], body[nul + 1 : end])
+            pos = end
     except ValueError:
-        raise StoreError(f"tree {object_id.hex}: malformed entry at byte {pos}")
+        raise StoreError(f"tree {raw.hex()}: malformed entry at byte {pos}")
     return entries
 
 
 def _localize(
-    expected_id: ObjectId,
-    actual_id: ObjectId,
+    expected_raw: bytes,
+    actual_raw: bytes,
     reference: ObjectStore,
     actual_store: ObjectStore,
     limit: int,
 ) -> Tuple[EntryMismatch, ...]:
     """The first limit divergences of a depth-first walk of both trees."""
     out: List[EntryMismatch] = []
-    tree = EntryPermission.DIRECTORY.token
-    # (path, expected (mode, id) or None, actual one or None); the entries
-    # of a directory are pushed in reverse so they pop in name order.
-    stack = [("", (tree, expected_id), (tree, actual_id))]
+    # (path, expected (mode, raw id) or None, actual one or None); the
+    # entries of a directory are pushed in reverse so they pop in name order.
+    stack = [("", (_TREE, expected_raw), (_TREE, actual_raw))]
     while stack and len(out) < limit:
         rel, exp, act = stack.pop()
         if exp == act:
@@ -431,10 +556,10 @@ def _localize(
             note = "unexpected"
         elif exp[1] == act[1]:
             note = "mode differs"
-        elif exp[0] == act[0] == tree:
+        elif exp[0] == act[0] == _TREE:
             # Two trees: descend when both stores hold them, else report the pair.
-            expected = reference.get(ObjectType.DIRECTORY, exp[1])
-            actual = actual_store.get(ObjectType.DIRECTORY, act[1])
+            expected = reference.get(ObjectType.DIRECTORY, ObjectId(exp[1]))
+            actual = actual_store.get(ObjectType.DIRECTORY, ObjectId(act[1]))
             if expected is not None and actual is not None:
                 expected_entries = _tree_entries(exp[1], expected)
                 actual_entries = _tree_entries(act[1], actual)
@@ -445,7 +570,7 @@ def _localize(
                         (child_rel, expected_entries.get(name), actual_entries.get(name))
                     )
                 continue
-        out.append(EntryMismatch(rel, exp and exp[1].hex, act and act[1].hex, note))
+        out.append(EntryMismatch(rel, exp and exp[1].hex(), act and act[1].hex(), note))
     return tuple(out)
 
 
@@ -474,10 +599,13 @@ def verify_path(
     is_dir_node = stat.S_ISDIR(_lstat_root(path).st_mode)
     if is_dir_node != (core.object_type is ObjectType.DIRECTORY):
         raise TypeMismatchError(f"{path}: expected a {'file' if is_dir_node else 'directory'}")
-    actual, actual_store = ingest_path(path, excludes)
+    # Only trees are kept: the detail below reads nothing else.
+    trees = ObjectStore()
+    object_type, raw = _walk(path, excludes, trees)
     # An empty store holds no expected tree, so the detail is the root alone.
     store = ObjectStore() if reference is None else reference
-    detail = _localize(core.object_id, actual.object_id, store, actual_store, detail_limit)
+    detail = _localize(core.object_id.raw, raw, store, trees, detail_limit)
+    actual = CoreSwhid(object_type, ObjectId(raw))
     return VerificationReport(expected=core, actual=actual, detail=detail)
 
 

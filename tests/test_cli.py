@@ -838,7 +838,7 @@ def _schema_error_in_identify(tmp_path, request):
     def broken(*args, **kwargs):
         raise errors.SchemaError("injected")
 
-    request.getfixturevalue("monkeypatch").setattr("swhid.ingest.ingest_path", broken)
+    request.getfixturevalue("monkeypatch").setattr("swhid.ingest._walk", broken)
     return ["identify", str(tmp_path)]
 
 
@@ -866,7 +866,7 @@ def test_interrupt_exits_1_without_traceback(runner, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("swhid.ingest.ingest_path", interrupted)
+    monkeypatch.setattr("swhid.ingest._walk", interrupted)
     result = runner.invoke(main, ["identify", str(tmp_path)])
     assert result.exit_code == 1
     assert result.stderr == "swhid: interrupted\n"

@@ -3,6 +3,8 @@ import fnmatch
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -46,6 +48,8 @@ from swhid.model import (
     swhid_of,
 )
 from swhid.syntax import CoreSwhid, LineRange, ObjectId, ObjectType, parse
+
+SRC = Path(swhid.ingest.__file__).resolve().parents[1]
 
 
 def make_tree(root: Path) -> None:
@@ -325,6 +329,105 @@ def test_ingest_file_swapped_for_symlink(tmp_path, monkeypatch):
     assert len(swaps) == 2
 
 
+def test_ingest_directory_swapped_for_symlink(tmp_path, monkeypatch):
+    root = tmp_path / "d"
+    sub = root / "sub"
+    sub.mkdir(parents=True)
+    (sub / "f").write_bytes(b"scanned as a directory")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "f").write_bytes(b"must not be hashed")
+    real = os.open
+    swaps = []
+
+    def swapping_open(path, *args, **kwargs):
+        # Another process replaces the directory between its parent's scan
+        # and the descent into it.
+        if os.path.basename(path) == "sub" and not sub.is_symlink():
+            sub.rename(tmp_path / "moved")
+            os.symlink(outside, sub)
+            swaps.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", swapping_open)
+    with pytest.raises(UnreadableError) as excinfo:
+        ingest_path(root)
+    # O_DIRECTORY refuses the link before O_NOFOLLOW would.
+    assert str(excinfo.value) == f"{sub}: Not a directory"
+    assert len(swaps) == 1
+    sub.unlink()
+    (tmp_path / "moved").rename(sub)
+    result = CliRunner().invoke(main, ["identify", str(root)])
+    assert result.exit_code == 3
+    assert result.stderr == f"swhid: {sub}: Not a directory\n"
+    assert result.stdout == ""
+    assert len(swaps) == 2
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _chain(top: Path, depth: int) -> list:
+    """top/d/d/.../d, depth levels below top, with a file at each level."""
+    chain = [top]
+    top.mkdir()
+    for level in range(depth):
+        (chain[-1] / "f").write_bytes(b"%d\n" % level)
+        chain.append(chain[-1] / "d")
+        chain[-1].mkdir()
+    return chain
+
+
+def test_ingest_closes_every_fd(tmp_path, monkeypatch, oracle):
+    # Deeper than the fds the walk holds, so it closes ancestors and reopens
+    # them; a sibling after each "d" is read from the reopened fd.
+    chain = _chain(tmp_path / "top", swhid.ingest._HELD_FDS + 10)
+    for directory in chain:
+        (directory / "z").write_bytes(b"after the subdirectory\n")
+    before = _open_fds()
+    collected = []
+    root_id, _ = ingest_path(chain[0], collect=collected)
+    assert _open_fds() == before
+    assert root_id.object_id.hex == oracle.add_worktree_path(chain[0])
+    assert len(collected) == 3 * len(chain) - 1  # the bottom holds no "f"
+    real = os.open
+
+    def refusing(path, *args, **kwargs):
+        if os.path.basename(path) == "z" and not collected:
+            raise PermissionError(13, "Permission denied")
+        return real(path, *args, **kwargs)
+
+    collected.clear()
+    monkeypatch.setattr(os, "open", refusing)
+    with pytest.raises(UnreadableError) as excinfo:
+        ingest_path(chain[0])
+    assert str(excinfo.value) == f"{chain[-1]}/z: Permission denied"
+    assert _open_fds() == before
+
+
+def test_ingest_refuses_an_ancestor_moved_while_closed(tmp_path, monkeypatch):
+    depth = swhid.ingest._HELD_FDS + 10
+    chain = _chain(tmp_path / "top", depth)
+    (chain[-1] / "leaf").write_bytes(b"bottom\n")
+    real = os.open
+    # A directory whose parent's fd the walk has closed by the time it
+    # reads the bottom; moved away with everything below it.
+    moved = chain[5]
+
+    def moving(path, *args, **kwargs):
+        if os.path.basename(path) == "leaf" and moved.exists():
+            moved.rename(tmp_path / "elsewhere")
+        return real(path, *args, **kwargs)
+
+    before = _open_fds()
+    monkeypatch.setattr(os, "open", moving)
+    with pytest.raises(UnreadableError) as excinfo:
+        ingest_path(chain[0])
+    assert str(excinfo.value) == f"{chain[4]}: moved while being read"
+    assert _open_fds() == before
+
+
 def test_errors_below_the_root_name_absolute_paths(tmp_path, monkeypatch):
     proj = tmp_path / "proj"
     (proj / "sub" / "closed").mkdir(parents=True)
@@ -424,6 +527,23 @@ def test_ingest_deep_tree(tmp_path, oracle):
             fh.write(b"bottom\n")
         swhid, reference = ingest_path(chain[0])
         assert swhid.object_id.hex == oracle.add_worktree_path(Path(chain[0]))
+        # Again in a child whose soft fd limit is below the depth.
+        limited = (
+            "import resource, sys\n"
+            "from swhid.ingest import ingest_path\n"
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (min(1024, hard), hard))\n"
+            "print(ingest_path(sys.argv[1])[0])\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", limited, chain[0]],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == f"{swhid}\n"
         with open(leaf, "wb") as fh:
             fh.write(b"edited\n")
         report = verify_path(swhid, chain[0], reference=reference)
@@ -750,7 +870,8 @@ def test_malformed_reference_tree_is_a_store_error(tmp_path, body):
 
 
 def test_store_counts_insertions_with_one_key_hash(monkeypatch):
-    # A repeated insert hashes its key once, a new one at most twice.
+    # The store is keyed by raw digest, whose hash bytes objects cache: an
+    # insert hashes no ObjectId, and a typed lookup converts at the edge.
     calls = []
     real = ObjectId.__hash__
 
@@ -763,8 +884,26 @@ def test_store_counts_insertions_with_one_key_hash(monkeypatch):
     store.add(Content(b"a"))
     new = len(calls)
     store.add(Content(b"a"))
-    assert new <= 2 and len(calls) - new == 1
+    assert new == len(calls) == 0
     assert store.insertions(ObjectType.CONTENT, content_id(Content(b"a"))) == 2
+
+
+def test_store_typed_edges_over_raw_digest_keys(tmp_path):
+    store = ObjectStore()
+    cnt = store.add(Content(b"abc"))
+    tree = store.add(Directory((DirectoryEntry(b"f", EntryPermission.REGULAR_FILE, cnt.object_id),)))
+    # One digest, asked for under the other type.
+    assert store.get(ObjectType.DIRECTORY, cnt.object_id) is None
+    assert store.get(ObjectType.CONTENT, tree.object_id) is None
+    assert store.insertions(ObjectType.DIRECTORY, cnt.object_id) == 0
+    assert store.insertions(ObjectType.CONTENT, cnt.object_id) == 1
+    assert (ObjectType.DIRECTORY, cnt.object_id) not in store
+    assert (ObjectType.CONTENT, cnt.object_id) in store
+    assert list(store) == [(ObjectType.CONTENT, cnt.object_id), (ObjectType.DIRECTORY, tree.object_id)]
+    make_tree(tmp_path / "proj")
+    _, walked = ingest_path(tmp_path / "proj")
+    assert {type(t) for t, _ in walked} == {ObjectType}
+    assert {type(i) for _, i in walked} == {ObjectId}
 
 
 def test_store_is_thread_safe():
