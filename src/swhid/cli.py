@@ -186,7 +186,7 @@ def resolve(args: argparse.Namespace) -> None:
     if fetch_to is not None:
         from pathlib import Path
 
-        from .ingest import write_atomically
+        from ._atomic import write_atomically
 
         data = fetch_content_verified(value.core, endpoint)
         try:

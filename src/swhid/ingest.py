@@ -49,23 +49,6 @@ __all__ = [
 ]
 
 
-def write_atomically(path: Path, emit: Callable[[Callable[[bytes], Any]], None]) -> None:
-    """Write what emit passes to its write argument into path.
-
-    The bytes go to .NAME.partial beside path first and are renamed into
-    place, so a failed write removes the partial file and leaves any
-    earlier copy of path intact.
-    """
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with open(partial, "wb") as out:
-            emit(out.write)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
 # The names save() gives an object's bucket and file: its id's first 2 and last 38 hex digits.
 _BUCKET_RE = re.compile(r"[0-9a-f]{2}")
 _ITEM_RE = re.compile(r"[0-9a-f]{38}")
@@ -163,6 +146,8 @@ class ObjectStore:
         StoreError. Each object is written under a temporary name and renamed
         into place, so a failed save leaves any earlier copy of it intact.
         """
+        from ._atomic import write_atomically
+
         base = Path(root) / "objects"
         try:
             for raw, (_, value, _) in self._objects.items():

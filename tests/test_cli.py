@@ -1001,6 +1001,23 @@ def test_parse_child_loads_neither_ingest_nor_transport():
     assert loaded == repr(["swhid", "swhid.cli", "swhid.errors", "swhid.syntax"])
 
 
+def test_resolve_fetch_child_does_not_load_ingest(archive, tmp_path):
+    # Writing the fetched file needs swhid._atomic, not the filesystem layer.
+    swhid = archive.add_content(b"payload\n")
+    out = tmp_path / "out.bin"
+    probe = (
+        "import sys; from swhid.cli import main\n"
+        "try: main(sys.argv[1:])\n"
+        "except SystemExit as exc: print(exc.code)\n"
+        "print('swhid.ingest' in sys.modules)"
+    )
+    args = ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)]
+    child = _cli_child(args, python=("-c", probe))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-2:] == ["None", "False"]
+    assert out.read_bytes() == b"payload\n"
+
+
 def test_parser_lists_every_resolver_kind():
     assert swhid.cli._RESOLVERS == tuple(kind.value for kind in swhid.resolve.ResolverKind)
 

@@ -394,11 +394,10 @@ def test_ingest_closes_every_fd(tmp_path, monkeypatch, oracle):
     real = os.open
 
     def refusing(path, *args, **kwargs):
-        if os.path.basename(path) == "z" and not collected:
+        if os.path.basename(path) == "z":
             raise PermissionError(13, "Permission denied")
         return real(path, *args, **kwargs)
 
-    collected.clear()
     monkeypatch.setattr(os, "open", refusing)
     with pytest.raises(UnreadableError) as excinfo:
         ingest_path(chain[0])
@@ -891,7 +890,8 @@ def test_store_counts_insertions_with_one_key_hash(monkeypatch):
 def test_store_typed_edges_over_raw_digest_keys(tmp_path):
     store = ObjectStore()
     cnt = store.add(Content(b"abc"))
-    tree = store.add(Directory((DirectoryEntry(b"f", EntryPermission.REGULAR_FILE, cnt.object_id),)))
+    entry = DirectoryEntry(b"f", EntryPermission.REGULAR_FILE, cnt.object_id)
+    tree = store.add(Directory((entry,)))
     # One digest, asked for under the other type.
     assert store.get(ObjectType.DIRECTORY, cnt.object_id) is None
     assert store.get(ObjectType.CONTENT, tree.object_id) is None
@@ -899,7 +899,10 @@ def test_store_typed_edges_over_raw_digest_keys(tmp_path):
     assert store.insertions(ObjectType.CONTENT, cnt.object_id) == 1
     assert (ObjectType.DIRECTORY, cnt.object_id) not in store
     assert (ObjectType.CONTENT, cnt.object_id) in store
-    assert list(store) == [(ObjectType.CONTENT, cnt.object_id), (ObjectType.DIRECTORY, tree.object_id)]
+    assert list(store) == [
+        (ObjectType.CONTENT, cnt.object_id),
+        (ObjectType.DIRECTORY, tree.object_id),
+    ]
     make_tree(tmp_path / "proj")
     _, walked = ingest_path(tmp_path / "proj")
     assert {type(t) for t, _ in walked} == {ObjectType}
