@@ -364,6 +364,35 @@ def test_ingest_directory_swapped_for_symlink(tmp_path, monkeypatch):
     assert len(swaps) == 2
 
 
+def test_ingest_reads_a_parent_swapped_mid_walk_through_its_fd(tmp_path, monkeypatch):
+    root = tmp_path / "d"
+    parent = root / "a"
+    parent.mkdir(parents=True)
+    (parent / "1").write_bytes(b"first")
+    (parent / "2").write_bytes(b"second")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "1").write_bytes(b"must not be hashed")
+    (outside / "2").write_bytes(b"nor this")
+    expected, _ = ingest_path(root)
+    real = os.open
+    swaps = []
+
+    def swapping_open(path, *args, **kwargs):
+        # Another process moves the directory away and puts a symlink in its
+        # place while its files are being read: the walk goes on reading the
+        # directory it scanned, through its fd.
+        if os.path.basename(path) == "1" and not parent.is_symlink():
+            parent.rename(tmp_path / "moved")
+            os.symlink(outside, parent)
+            swaps.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", swapping_open)
+    assert ingest_path(root)[0] == expected
+    assert len(swaps) == 1
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
