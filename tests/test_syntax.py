@@ -275,15 +275,35 @@ def test_round_trip_property(value):
     assert validate(text) == []
 
 
-@given(st.text(max_size=120))
-def test_parser_never_crashes(text):
-    try:
-        value = parse(text)
-    except SwhidParseError:
-        validate(text)  # must not raise either
-        return
-    # Anything accepted must re-parse to the same normalized value.
-    assert parse(str(value)) == value
+@st.composite
+def _one_edit(draw):
+    """A qualified id with one character inserted or deleted, or truncated."""
+    text = str(draw(_qualified))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+    if edit == "insert":
+        char = draw(st.one_of(st.sampled_from(":;=-0aAg/ é"), st.characters()))
+        return text[:at] + char + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at]
+
+
+@given(st.one_of(st.text(max_size=120), _one_edit()))
+def test_parse_agrees_with_validate(text):
+    # parse raises if and only if validate lists an error, and then raises
+    # the first one; what parse accepts, validate lists only warnings for.
+    for permissive in (False, True):
+        found = validate(text, permissive=permissive)
+        errors = [d for d in found if not d.is_warning]
+        try:
+            value = parse(text, permissive=permissive)
+        except SwhidParseError as exc:
+            assert errors and exc.diagnostic == errors[0]
+            continue
+        assert not errors
+        # Anything accepted must re-parse to the same normalized value.
+        assert parse(str(value), permissive=permissive) == value
 
 
 P = f"swh:1:cnt:{HEX}"  # 50 characters; a first qualifier starts at byte 51
@@ -326,6 +346,27 @@ DIAGNOSTIC_ROWS = [
         "swh:1:cnt:" + HEX.upper(),
         [(10, "uppercase-hex", "object id uses non-canonical uppercase hex digits")],
         P,
+    ),
+    # Digits alone have no case: clean, with no uppercase-hex warning.
+    ("swh:1:cnt:" + "0" * 40, [], "swh:1:cnt:" + "0" * 40),
+    (
+        "swh:2:cnt:" + HEX.upper(),
+        [
+            (4, "unsupported-version", "unsupported schema version '2' (expected '1')"),
+            (10, "uppercase-hex", "object id uses non-canonical uppercase hex digits"),
+        ],
+        None,
+    ),
+    # The type is the three-letter tag, in lowercase only.
+    (
+        "swh:1:content:" + HEX,
+        [(6, "bad-type", "unknown object type 'content' (expected cnt, dir, rev, rel, or snp)")],
+        None,
+    ),
+    (
+        "swh:1:CNT:" + HEX,
+        [(6, "bad-type", "unknown object type 'CNT' (expected cnt, dir, rev, rel, or snp)")],
+        None,
     ),
     (
         "swh:3:xyz:beef",
