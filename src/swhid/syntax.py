@@ -97,10 +97,15 @@ class ObjectType(enum.Enum):
 
     @classmethod
     def from_long_name(cls, name: str) -> "ObjectType":
-        for member in cls:
-            if member.long_name == name:
-                return member
-        raise ValueError(f"unknown object type name {name!r}")
+        try:
+            return _LONG_NAMES[name]
+        except KeyError:
+            raise ValueError(f"unknown object type name {name!r}") from None
+
+
+# Each member by its identifier tag (as the scanner reads it) and by its long name.
+_TAGS = {member.value: member for member in ObjectType}
+_LONG_NAMES = {member.long_name: member for member in ObjectType}
 
 
 class ObjectId(_Value):
@@ -313,78 +318,81 @@ def _lines(value: str) -> LineRange:
 _QUALIFIERS = {"origin": _origin, "lines": _lines}
 
 
-def _scan(text: str, permissive: bool) -> "tuple[Optional[QualifiedSwhid], list[ParseDiagnostic]]":
-    """Single-pass scanner shared by parse() and validate()."""
+def _add(diags: list, text: str, at: int, kind: DiagnosticKind, message: str) -> None:
+    """Append a diagnostic for the field at character index at, by its UTF-8 byte offset."""
+    diags.append(ParseDiagnostic(len(text[:at].encode("utf-8", "replace")), kind, message))
+
+
+def _scan(text: str, permissive: bool, build: bool) -> "tuple[Optional[QualifiedSwhid], list]":
+    """Single-pass scanner shared by parse() and validate(); only parse() has it build a value."""
     diags: list[ParseDiagnostic] = []
-
-    def err(at: int, kind: DiagnosticKind, message: str) -> None:
-        offset = len(text[:at].encode("utf-8", "replace"))
-        diags.append(ParseDiagnostic(offset, kind, message))
-
     core = _CORE_RE.match(text)
     if core is None:
-        err(0, DiagnosticKind.BAD_PREFIX, "identifier must start with 'swh:'")
+        _add(diags, text, 0, DiagnosticKind.BAD_PREFIX, "identifier must start with 'swh:'")
         return None, diags
     version, type_token, hex_part = core.groups()
     if type_token is None:
-        err(len(text), DiagnosticKind.BAD_TYPE, "identifier truncated before the object type")
+        message = "identifier truncated before the object type"
+        _add(diags, text, len(text), DiagnosticKind.BAD_TYPE, message)
         return None, diags
     if version != "1":
         message = f"unsupported schema version {version!r} (expected '1')"
-        err(4, DiagnosticKind.UNSUPPORTED_VERSION, message)
+        _add(diags, text, 4, DiagnosticKind.UNSUPPORTED_VERSION, message)
     if hex_part is None:
-        err(len(text), DiagnosticKind.BAD_HEX, "identifier truncated before the object id")
+        message = "identifier truncated before the object id"
+        _add(diags, text, len(text), DiagnosticKind.BAD_HEX, message)
         return None, diags
 
-    object_type: Optional[ObjectType] = None
-    try:
-        object_type = ObjectType(type_token)
-    except ValueError:
+    object_type = _TAGS.get(type_token)
+    if object_type is None:
         message = f"unknown object type {type_token!r} (expected cnt, dir, rev, rel, or snp)"
-        err(core.start(2), DiagnosticKind.BAD_TYPE, message)
+        _add(diags, text, core.start(2), DiagnosticKind.BAD_TYPE, message)
     if not _HEX_RE.match(hex_part):
         if len(hex_part) != 40:
             message = f"object id must be 40 hex digits, got {len(hex_part)}"
         else:
             message = "object id contains non-hex characters"
-        err(core.start(3), DiagnosticKind.BAD_HEX, message)
+        _add(diags, text, core.start(3), DiagnosticKind.BAD_HEX, message)
     elif hex_part != hex_part.lower():
         message = "object id uses non-canonical uppercase hex digits"
-        err(core.start(3), DiagnosticKind.UPPERCASE_HEX, message)
+        _add(diags, text, core.start(3), DiagnosticKind.UPPERCASE_HEX, message)
 
     found: dict = {}
+    # The core ends at the end of the text or at the ';' before the first qualifier.
     at = core.end() + 1
-    for segment in text[core.end():].split(";")[1:]:
+    for segment in text[at:].split(";") if at <= len(text) else ():
         key, equals, value = segment.partition("=")
         if not segment:
-            err(at, DiagnosticKind.BAD_QUALIFIER, "empty qualifier")
+            _add(diags, text, at, DiagnosticKind.BAD_QUALIFIER, "empty qualifier")
         elif not equals:
             message = f"qualifier {segment!r} is not of the form key=value"
-            err(at, DiagnosticKind.BAD_QUALIFIER, message)
+            _add(diags, text, at, DiagnosticKind.BAD_QUALIFIER, message)
         elif key not in _QUALIFIERS and permissive:
-            err(at, DiagnosticKind.UNKNOWN_QUALIFIER, f"unknown qualifier key {key!r} ignored")
+            message = f"unknown qualifier key {key!r} ignored"
+            _add(diags, text, at, DiagnosticKind.UNKNOWN_QUALIFIER, message)
         elif key not in _QUALIFIERS:
-            err(at, DiagnosticKind.BAD_QUALIFIER, f"unknown qualifier key {key!r}")
+            _add(diags, text, at, DiagnosticKind.BAD_QUALIFIER, f"unknown qualifier key {key!r}")
         elif key in found:
-            err(at, DiagnosticKind.BAD_QUALIFIER, f"duplicate {key} qualifier")
+            _add(diags, text, at, DiagnosticKind.BAD_QUALIFIER, f"duplicate {key} qualifier")
         else:
             try:
                 found[key] = _QUALIFIERS[key](value)
             except _Invalid as exc:
-                err(at, *exc.args)
+                _add(diags, text, at, *exc.args)
             else:
                 last = [k for k in _QUALIFIERS if k in found][-1]
                 if last != key:
                     message = f"non-canonical qualifier order ({key} belongs before {last})"
-                    err(at, DiagnosticKind.QUALIFIER_ORDER, message)
+                    _add(diags, text, at, DiagnosticKind.QUALIFIER_ORDER, message)
         at += len(segment) + 1
 
-    if any(not d.is_warning for d in diags):
+    if not build or diags and any(not d.is_warning for d in diags):
         return None, diags
-    assert object_type is not None
-    # The qualifiers were checked above, so the value skips the constructor's origin check.
+    # Every field was checked above, so the values skip their constructors' checks.
+    object_id = object.__new__(ObjectId)
+    _setattr(object_id, "raw", bytes.fromhex(hex_part))
     value = object.__new__(QualifiedSwhid)
-    _setattr(value, "core", CoreSwhid(object_type, ObjectId(bytes.fromhex(hex_part))))
+    _setattr(value, "core", CoreSwhid(object_type, object_id))
     _setattr(value, "origin", found.get("origin"))
     _setattr(value, "lines", found.get("lines"))
     return value, diags
@@ -397,18 +405,15 @@ def parse(text: str, permissive: bool = False) -> QualifiedSwhid:
     under permissive=True) do not fail the parse; the returned value is
     normalized, so str(parse(text)) is the canonical form.
     """
-    value, diags = _scan(text, permissive)
-    for diag in diags:
-        if not diag.is_warning:
-            raise SwhidParseError(diag)
-    assert value is not None
+    value, diags = _scan(text, permissive, True)
+    if value is None:
+        raise SwhidParseError(next(d for d in diags if not d.is_warning))
     return value
 
 
 def validate(text: str, permissive: bool = False) -> "list[ParseDiagnostic]":
     """Return every diagnostic for text, in input order. Empty means clean."""
-    _, diags = _scan(text, permissive)
-    return diags
+    return _scan(text, permissive, False)[1]
 
 
 def format_swhid(value: Union[QualifiedSwhid, CoreSwhid]) -> str:

@@ -242,9 +242,11 @@ def test_origin_constructor_validation():
 
 def test_object_type_names():
     assert ObjectType.SNAPSHOT.long_name == "snapshot"
-    assert ObjectType.from_long_name("release") is ObjectType.RELEASE
-    with pytest.raises(ValueError):
-        ObjectType.from_long_name("blob")
+    for member in ObjectType:
+        assert ObjectType.from_long_name(member.long_name) is member
+    for name in ("blob", "CONTENT", "cnt"):
+        with pytest.raises(ValueError, match=f"^unknown object type name '{name}'$"):
+            ObjectType.from_long_name(name)
 
 
 _types = st.sampled_from(list(ObjectType))
