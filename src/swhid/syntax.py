@@ -386,9 +386,9 @@ def _scan(text: str, permissive: bool, build: bool) -> "tuple[Optional[Qualified
                     _add(diags, text, at, DiagnosticKind.QUALIFIER_ORDER, message)
         at += len(segment) + 1
 
-    if not build or diags and any(not d.is_warning for d in diags):
+    if not build or (diags and any(not d.is_warning for d in diags)):
         return None, diags
-    # Every field was checked above, so the values skip their constructors' checks.
+    # Every field was checked above, so the id and the value skip their constructors' checks.
     object_id = object.__new__(ObjectId)
     _setattr(object_id, "raw", bytes.fromhex(hex_part))
     value = object.__new__(QualifiedSwhid)

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swhid.errors import SwhidError
 from swhid.syntax import (
@@ -292,6 +292,8 @@ def _one_edit(draw):
 
 
 @given(st.one_of(st.text(max_size=120), _one_edit()))
+@example("swh:2:cnt")  # two errors, so only the first may be raised
+@example(f"swh:1:cnt:{HEX[:20]};{HEX[20:]};lines=3")
 def test_parse_agrees_with_validate(text):
     # parse raises if and only if validate lists an error, and then raises
     # the first one; what parse accepts, validate lists only warnings for.
