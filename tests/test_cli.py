@@ -862,6 +862,76 @@ def test_errors_end_in_their_exit_status(runner, tmp_path, request, case, code):
     assert "Traceback" not in result.output
 
 
+# Each case: (args, exit status, stderr), with DIR for the test's directory.
+def _forced_type(tmp_path, request):
+    return ["identify", "--type", "cnt", "DIR"], ExitStatus.USAGE, (
+        "swhid: DIR: computed a directory identifier, but --type cnt was requested\n"
+    )
+
+
+def _fetch_of_a_directory_id(tmp_path, request):
+    ident = "swh:1:dir:" + "0" * 40
+    return ["resolve", "--fetch", "DIR/x", ident], ExitStatus.USAGE, (
+        "swhid: --fetch needs a content identifier\n"
+    )
+
+
+def _fetch_into_a_file_instead_of_a_directory(tmp_path, request):
+    archive = request.getfixturevalue("archive")
+    swhid = archive.add_content(b"payload\n")
+    (tmp_path / "file").write_bytes(b"")
+    args = ["resolve", "--fetch", "DIR/file/out", "--endpoint", archive.endpoint, str(swhid)]
+    return args, ExitStatus.IO_ERROR, "swhid: DIR/file/out: Not a directory\n"
+
+
+def _extract_from_a_directory_id(tmp_path, request):
+    ident = "swh:1:dir:" + "0" * 40 + ";lines=1"
+    return ["extract-lines", ident, "DIR/f"], ExitStatus.USAGE, (
+        "swhid: extract-lines needs a content identifier\n"
+    )
+
+
+def _extract_without_lines(tmp_path, request):
+    return ["extract-lines", GPL3_ID, "DIR/f"], ExitStatus.USAGE, (
+        "swhid: identifier carries no lines qualifier\n"
+    )
+
+
+def _extract_from_a_missing_file(tmp_path, request):
+    return ["extract-lines", GPL3_ID + ";lines=1", "DIR/gone"], ExitStatus.IO_ERROR, (
+        "swhid: DIR/gone: No such file or directory\n"
+    )
+
+
+def _extract_from_a_changed_file(tmp_path, request):
+    (tmp_path / "f").write_bytes(b"x\n")
+    actual = swhid_of(Content(b"x\n")).object_id.hex
+    return ["extract-lines", GPL3_ID + ";lines=1", "DIR/f"], ExitStatus.MISMATCH, (
+        f"swhid: DIR/f hashes to {actual}, identifier says {GPL3_ID[10:]}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _forced_type,
+        _fetch_of_a_directory_id,
+        _fetch_into_a_file_instead_of_a_directory,
+        _extract_from_a_directory_id,
+        _extract_without_lines,
+        _extract_from_a_missing_file,
+        _extract_from_a_changed_file,
+    ],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_command_errors_exit_code_and_stderr(runner, tmp_path, request, case):
+    args, code, stderr = case(tmp_path, request)
+    result = runner.invoke(main, [a.replace("DIR", str(tmp_path)) for a in args])
+    assert result.exit_code == code, result.output
+    assert result.stderr == stderr.replace("DIR", str(tmp_path))
+    assert result.stdout_bytes == b""
+
+
 def test_interrupt_exits_1_without_traceback(runner, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
