@@ -2,8 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 1 verification mismatch,
 2 usage or syntax error, 3 I/O or network failure. argparse ends a usage
-error in 2; a SwhidError raised by any command ends in its class's
-exit_status (see swhid.errors), caught in one place: main().
+error in 2. Every other failure is a SwhidError, which main() alone prints
+and ends in its class's exit_status (see swhid.errors). A command returns
+a status only for a result: verify's mismatch, or parse's diagnostics.
 
 Each command imports the modules it needs when it runs, so a child that
 parses one identifier does not load the filesystem or network layers.
@@ -16,16 +17,11 @@ import sys
 from typing import NoReturn, Optional, Sequence, Union
 
 from . import __version__
-from .errors import ExitStatus, SwhidError
-from .syntax import SCHEMA_VERSION, ObjectType, parse, validate
+from .errors import ExitStatus, IngestError, IntegrityMismatchError, SwhidError, TypeMismatchError
+from .syntax import SCHEMA_VERSION, ObjectType, _scan, parse
 
 # The values of swhid.resolve.ResolverKind, which the parser lists without importing it.
 _RESOLVERS = ("archive-web", "archive-api", "identifiers-org", "n2t")
-
-
-def _fail(code: ExitStatus, message: str) -> NoReturn:
-    print(f"swhid: {message}", file=sys.stderr)
-    sys.exit(code)
 
 
 def _write(data: Union[str, bytes]) -> None:
@@ -54,10 +50,9 @@ def identify(args: argparse.Namespace) -> None:
         collected = [] if args.recursive else None
         object_type, raw = _walk(path, args.excludes, rows=collected)
         if args.force_type is not None and object_type.value != args.force_type:
-            _fail(
-                ExitStatus.USAGE,
+            raise TypeMismatchError(
                 f"{path}: computed a {object_type.long_name}"
-                f" identifier, but --type {args.force_type} was requested",
+                f" identifier, but --type {args.force_type} was requested"
             )
         prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
         rows.extend(
@@ -97,12 +92,11 @@ def _json_rows(rows) -> str:
 
 def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:
     """Validate an identifier and print its parts."""
-    diagnostics = validate(args.identifier, args.permissive)
+    value, diagnostics = _scan(args.identifier, args.permissive, True)
     for diagnostic in diagnostics:
         print(f"swhid: {diagnostic}", file=sys.stderr)
-    if any(not d.is_warning for d in diagnostics):
+    if value is None:  # an error among the diagnostics
         return ExitStatus.USAGE
-    value = parse(args.identifier, args.permissive)
     if args.as_json:
         fields = {
             "canonical": str(value),
@@ -173,7 +167,7 @@ def resolve(args: argparse.Namespace) -> None:
     value = parse(args.identifier)
     fetch_to = args.fetch_to
     if fetch_to is not None and value.object_type is not ObjectType.CONTENT:
-        _fail(ExitStatus.USAGE, "--fetch needs a content identifier")
+        raise SwhidError("--fetch needs a content identifier")
     endpoint = os.environ.get("SWHID_ARCHIVE_URL") if args.endpoint is None else args.endpoint
     url = resolver_url(value, ResolverKind(args.resolver))
     info: dict = {"url": url}
@@ -192,7 +186,7 @@ def resolve(args: argparse.Namespace) -> None:
         try:
             write_atomically(Path(fetch_to), lambda write: write(data))
         except OSError as exc:
-            _fail(ExitStatus.IO_ERROR, f"{fetch_to}: {exc.strerror or exc}")
+            raise IngestError(f"{fetch_to}: {exc.strerror or exc}") from exc
         info["written"] = fetch_to
         info["size"] = len(data)
     if args.as_json:
@@ -210,26 +204,22 @@ def extract_lines_command(args: argparse.Namespace) -> None:
     """Write the line range a qualified identifier selects from PATH."""
     from pathlib import Path
 
-    from .ingest import extract_lines
+    from .ingest import _unreadable, extract_lines
     from .model import Content, content_id
 
     value = parse(args.identifier)
     if value.object_type is not ObjectType.CONTENT:
-        _fail(ExitStatus.USAGE, "extract-lines needs a content identifier")
+        raise TypeMismatchError("extract-lines needs a content identifier")
     if value.lines is None:
-        _fail(ExitStatus.USAGE, "identifier carries no lines qualifier")
+        raise SwhidError("identifier carries no lines qualifier")
     try:
         data = Path(args.path).read_bytes()
     except OSError as exc:
-        _fail(ExitStatus.IO_ERROR, f"{args.path}: {exc.strerror or exc}")
+        raise _unreadable(args.path, exc) from exc
     if not args.no_verify:
         actual = content_id(Content(data))
         if actual != value.object_id:
-            _fail(
-                ExitStatus.MISMATCH,
-                f"{args.path} hashes to {actual.hex},"
-                f" identifier says {value.object_id.hex}",
-            )
+            raise IntegrityMismatchError(value.object_id.hex, actual.hex, f"{args.path} hashes to")
     _write(extract_lines(data, value.lines))
 
 
@@ -372,7 +362,8 @@ def main(argv: Optional[Sequence[str]] = None) -> NoReturn:
         status = args.run(args)
         sys.stdout.flush()
     except SwhidError as exc:
-        _fail(exc.exit_status, str(exc))
+        print(f"swhid: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_status)
     except BrokenPipeError:
         # The reader closed stdout (| head): exit 1 without a word, and let
         # the interpreter's last flush of stdout go to /dev/null.

@@ -82,7 +82,7 @@ def _parse_object_id(value: Any, loc: str) -> Union[ObjectId, str]:
         raise SchemaError(
             f"{value!r} is neither 40 lowercase hex digits nor 'label:<name>'", loc
         )
-    return ObjectId.from_hex(value)
+    return ObjectId(bytes.fromhex(value))
 
 
 def _parse_id(obj: _Json, key: str, loc: str) -> Union[ObjectId, str]:
@@ -217,7 +217,6 @@ _KINDS = {
         ("branches", _parse_branches),
     )),
 }
-_ROWS = {row[0]: row for row in _KINDS.values()}  # by NodeDescription.kind
 
 
 def _id_slots(value: Any) -> Sequence[Any]:
@@ -229,7 +228,7 @@ def _id_slots(value: Any) -> Sequence[Any]:
 
 def _references(description: NodeDescription) -> List[str]:
     """The labels a description references, in field order."""
-    id_fields = _ROWS[description.kind][2]
+    id_fields = _KINDS[description.kind.long_name][2]
     return [
         slot
         for key in id_fields
@@ -320,7 +319,7 @@ def realize_descriptions(
     while ready:
         index = ready.pop()
         description = descriptions[index]
-        _, cls, id_fields, _ = _ROWS[description.kind]
+        _, cls, id_fields, _ = _KINDS[description.kind.long_name]
         fields = dict(description.fields)
         for key in id_fields:
             fields[key] = _resolve(fields[key], labels)

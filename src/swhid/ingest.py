@@ -4,13 +4,14 @@ One walk, _walk(), hashes a tree once, each file as a stream, opening each
 directory and file by name relative to its parent directory's fd. It keeps
 only what its caller needs: ingest_path() stores one manifest per distinct
 object (a file is kept as its path, not its bytes), verify_path() keeps
-tree manifests, and the CLI's identify keeps nothing. Symlinks are never
-followed: the link target bytes are the content, exactly as in version
-control. verify_path() recomputes an id and, given a reference store, walks
-both trees to localize the divergence.
+tree manifests only to compare with a reference, and identify keeps
+nothing. Symlinks are never followed: the link target bytes are the
+content, exactly as in version control. verify_path() recomputes an id and,
+given a reference store, walks both trees to localize the divergence.
 """
 from __future__ import annotations
 
+import errno
 import fnmatch
 import hashlib
 import os
@@ -72,15 +73,11 @@ class ObjectStore:
 
     def add(self, node: DagNode) -> CoreSwhid:
         """Store a node's manifest, returning its identifier."""
-        object_type, raw = self._add_manifest(manifest_of(node))
-        return CoreSwhid(object_type, ObjectId(raw))
-
-    def _add_manifest(self, manifest: bytes) -> Tuple[ObjectType, bytes]:
-        """Store a well-formed manifest; its type comes from the header's kind."""
+        manifest = manifest_of(node)
         object_type = MANIFEST_KIND_TO_TYPE[manifest[: manifest.index(b" ")]]
         raw = hashlib.sha1(manifest).digest()
         self._insert(object_type, raw, manifest)
-        return object_type, raw
+        return CoreSwhid(object_type, ObjectId(raw))
 
     def _insert(self, object_type: ObjectType, raw: bytes, value) -> None:
         with self._lock:
@@ -180,7 +177,12 @@ class ObjectStore:
                 for item in sorted(bucket.iterdir()):
                     if not _ITEM_RE.fullmatch(item.name):
                         raise StoreError(f"unexpected entry {item.name!r} in {where}")
-                    manifest = item.read_bytes()
+                    pieces: List[bytes] = []
+                    try:
+                        _, raw = _read_file(item, where + item.name, pieces.append, blob=False)
+                    except UnreadableError as exc:  # an OSError keeps its own text
+                        raise StoreError(str(exc.__cause__ or exc)) from exc
+                    manifest = b"".join(pieces)
                     kind = manifest.split(b" ", 1)[0]
                     if kind not in MANIFEST_KIND_TO_TYPE:
                         raise StoreError(f"{where}{item.name}: unknown manifest kind {kind!r}")
@@ -189,8 +191,9 @@ class ObjectStore:
                         raise StoreError(
                             f"{where}{item.name}: header does not give the body's length"
                         )
-                    if store._add_manifest(manifest)[1].hex() != bucket.name + item.name:
+                    if raw.hex() != bucket.name + item.name:
                         raise StoreError(f"{where}{item.name}: bytes do not hash to the file name")
+                    store._insert(MANIFEST_KIND_TO_TYPE[kind], raw, manifest)
         except OSError as exc:
             raise StoreError(str(exc)) from exc
         return store
@@ -226,27 +229,32 @@ def _lstat_root(path: Union[str, Path]) -> os.stat_result:
 
 
 def _read_file(
-    name: str,
+    name: Union[str, Path],
     path: str,
     sink: Optional[Callable[[bytes], Any]] = None,
     dir_fd: Optional[int] = None,
+    blob: bool = True,
 ) -> Tuple[int, bytes]:
-    """A regular file's st_mode and the sha1 of its blob manifest.
+    """A regular file's st_mode and the sha1 of its blob manifest (of its bytes if not blob).
 
     The file is name, relative to dir_fd if given; path names it in errors.
     sink, if given, receives the manifest: header, then bytes. Mode, size and
-    bytes come from one fd, whose fstat must show a regular file. A file that
-    is not, that reads to another length than its size, or any OSError
-    raises UnreadableError. A file under 64 KiB takes one read.
+    bytes come from one fd, opened without following a link or blocking,
+    whose fstat must show a regular file. A directory raises EISDIR, as
+    open() does; it, any other file that is not regular, a file that reads
+    to another length than its size, or any OSError raises UnreadableError.
+    A file under 64 KiB takes one read.
     """
     try:
         fd = os.open(name, _OPEN_FLAGS, dir_fd=dir_fd)
         try:
             st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(name))
             if not stat.S_ISREG(st.st_mode):
                 raise UnreadableError(f"{path}: not a regular file")
             size, done = st.st_size, 0
-            header = b"blob %d\x00" % size
+            header = b"blob %d\x00" % size if blob else b""
             digest = hashlib.sha1(header)
             if sink is not None:
                 sink(header)
@@ -375,12 +383,11 @@ def _walk(
     # never empty and hold no '/' or NUL, so rows skip the checks
     # DirectoryEntry makes for library callers.
     #
-    # Only the deepest _HELD_FDS frames hold their fd. A shallower one is
-    # closed and keeps its (st_dev, st_ino) instead; when the walk returns
-    # to it, it is reopened as ".." of its child and must be the same
-    # directory, else UnreadableError.
+    # Only the deepest _HELD_FDS frames hold their fd, an int. A shallower
+    # one is closed and keeps its (st_dev, st_ino) instead; when the walk
+    # returns to it, it is reopened as ".." of its child and must be the
+    # same directory, else UnreadableError.
     frames = [_Frame("", "", root, _open_dir(root, None, root))]
-    held = 1
     try:
         frames[0].entries = _scan(frames[0].fd, root, "", excluded)
         while True:
@@ -392,13 +399,11 @@ def _walk(
                     child_fd = _open_dir(name, fd, child_path)
                     child = _Frame(name, f"{rel}{name}/", child_path, child_fd)
                     frames.append(child)
-                    held += 1
-                    if held > _HELD_FDS:
+                    if len(frames) > _HELD_FDS and isinstance(frames[-1 - _HELD_FDS].fd, int):
                         dropped = frames[-1 - _HELD_FDS]
                         dropped_fd = dropped.fd
                         st = os.fstat(dropped_fd)
                         dropped.fd = (st.st_dev, st.st_ino)
-                        held -= 1
                         os.close(dropped_fd)
                     child.entries = _scan(child.fd, child.path, child.rel, excluded)
                     break
@@ -417,16 +422,15 @@ def _walk(
                 if len(frames) == 1:
                     break
                 parent = frames[-2]
-                if held == 1:
+                if not isinstance(parent.fd, int):
                     parent.fd = _reopen(fd, parent.fd, parent.path)
-                    held += 1
                 frames.pop()
-                held -= 1
                 os.close(fd)
                 parent.rows.append((os.fsencode(frame.name), _TREE, raw))
     finally:
-        for frame in frames[len(frames) - held :]:
-            os.close(frame.fd)
+        for frame in frames:
+            if isinstance(frame.fd, int):
+                os.close(frame.fd)
     return ObjectType.DIRECTORY, raw
 
 
@@ -584,12 +588,11 @@ def verify_path(
     is_dir_node = stat.S_ISDIR(_lstat_root(path).st_mode)
     if is_dir_node != (core.object_type is ObjectType.DIRECTORY):
         raise TypeMismatchError(f"{path}: expected a {'file' if is_dir_node else 'directory'}")
-    # Only trees are kept: the detail below reads nothing else.
+    # Trees are kept only to compare with a reference; without one, both
+    # stores are empty and the detail is the root alone.
     trees = ObjectStore()
-    object_type, raw = _walk(path, excludes, trees)
-    # An empty store holds no expected tree, so the detail is the root alone.
-    store = ObjectStore() if reference is None else reference
-    detail = _localize(core.object_id.raw, raw, store, trees, detail_limit)
+    object_type, raw = _walk(path, excludes, trees if reference else None)
+    detail = _localize(core.object_id.raw, raw, reference or trees, trees, detail_limit)
     actual = CoreSwhid(object_type, ObjectId(raw))
     return VerificationReport(expected=core, actual=actual, detail=detail)
 

@@ -118,14 +118,6 @@ class ObjectId(_Value):
             raise ValueError("object id must be exactly 20 bytes")
         _setattr(self, "raw", raw)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.raw == other.raw
-
-    def __hash__(self):
-        return hash(self.raw)
-
     @classmethod
     def from_hex(cls, hex_digits: str) -> "ObjectId":
         if not _HEX_RE.match(hex_digits):

@@ -17,6 +17,7 @@ import swhid
 import swhid.cli
 import swhid.errors as errors
 import swhid.resolve
+import swhid.syntax
 from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
@@ -264,6 +265,29 @@ def test_parse_permissive_flag(runner):
     assert strict.exit_code == ExitStatus.USAGE
     loose = runner.invoke(main, ["parse", "--permissive", text])
     assert loose.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(GPL3_ID + ";lines=1", 0), (GPL3_ID[:10] + GPL3_ID[10:].upper(), 0), ("swh:1:x", 2)],
+    ids=["clean", "warning", "error"],
+)
+def test_parse_scans_the_identifier_once(runner, text, code):
+    # Counted by code object, however the CLI reaches the scanner.
+    scanner = swhid.syntax._scan.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is scanner:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        result = runner.invoke(main, ["parse", text])
+    finally:
+        sys.setprofile(None)
+    assert result.exit_code == code, result.output
+    assert len(calls) == 1
 
 
 # --- verify ---------------------------------------------------------------------
@@ -907,7 +931,7 @@ def _extract_from_a_changed_file(tmp_path, request):
     (tmp_path / "f").write_bytes(b"x\n")
     actual = swhid_of(Content(b"x\n")).object_id.hex
     return ["extract-lines", GPL3_ID + ";lines=1", "DIR/f"], ExitStatus.MISMATCH, (
-        f"swhid: DIR/f hashes to {actual}, identifier says {GPL3_ID[10:]}\n"
+        f"swhid: DIR/f hashes to {actual}, expected {GPL3_ID[10:]}\n"
     )
 
 

@@ -882,6 +882,64 @@ def test_store_load_turns_read_errors_into_store_errors(tmp_path):
     assert str(excinfo.value) == str(error)
 
 
+def _hostile_export(tmp_path, kind):
+    """An export whose one object file is a FIFO, or a symlink to /dev/zero."""
+    item = tmp_path / "exported" / "objects" / "ab" / ("ab" * 19)
+    item.parent.mkdir(parents=True)
+    if kind == "fifo":
+        os.mkfifo(item)
+        return tmp_path / "exported", f"objects/ab/{item.name}: not a regular file"
+    os.symlink("/dev/zero", item)
+    return tmp_path / "exported", str(OSError(errno.ELOOP, os.strerror(errno.ELOOP), str(item)))
+
+
+def _capped_child(code, *args):
+    """Run code in a child whose address space is capped at 400 MiB, for at most 30 s.
+
+    A load that reads /dev/zero then runs out of memory in the child, and
+    one that blocks on a FIFO times out, instead of taking the test run down.
+    """
+    capped = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, hard))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", capped + code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link-to-dev-zero"])
+def test_store_load_refuses_non_regular_objects(tmp_path, kind):
+    base, message = _hostile_export(tmp_path, kind)
+    code = (
+        "from swhid.errors import StoreError\n"
+        "from swhid.ingest import ObjectStore\n"
+        "try:\n"
+        "    ObjectStore.load(sys.argv[1])\n"
+        "except StoreError as exc:\n"
+        "    print(exc)\n"
+    )
+    child = _capped_child(code, str(base))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == message + "\n"
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link-to-dev-zero"])
+def test_verify_objects_from_a_hostile_export_exits_3(tmp_path, kind):
+    base, message = _hostile_export(tmp_path, kind)
+    (tmp_path / "proj").mkdir()
+    args = ["verify", "--objects", str(base), "swh:1:dir:" + "0" * 40, str(tmp_path / "proj")]
+    child = _capped_child("from swhid.cli import main\nmain(sys.argv[1:])\n", *args)
+    assert child.returncode == 3
+    assert child.stderr == f"swhid: {message}\n"
+    assert child.stdout == ""
+
+
 @pytest.mark.parametrize(
     "body",
     [b"garbage", b"100644 f\x00" + b"\x01" * 19, b"100644 f" + b"\x01" * 21],
@@ -1065,6 +1123,24 @@ def test_verify_detail_limit_bounds_every_path(tmp_path):
             report = verify_path(swhid, root, reference=store, detail_limit=limit)
             assert not report.matched
             assert len(report.detail) == min(limit, rows)
+
+
+@pytest.mark.parametrize("reference", [None, ObjectStore()], ids=["none", "empty"])
+def test_verify_keeps_no_tree_without_a_reference_to_compare(tmp_path, monkeypatch, reference):
+    root = tmp_path / "proj"
+    make_tree(root)
+    swhid, _ = ingest_path(root)
+    (root / "src" / "main.c").write_bytes(b"changed\n")
+    inserted = []
+    real = ObjectStore._insert
+    monkeypatch.setattr(
+        ObjectStore, "_insert", lambda self, *args: inserted.append(args) or real(self, *args)
+    )
+    report = verify_path(swhid, root, reference=reference)
+    assert inserted == []
+    actual = ingest_path(root)[0].object_id.hex
+    rows = [(d.path, d.expected_hex, d.actual_hex, d.note) for d in report.detail]
+    assert rows == [("", swhid.object_id.hex, actual, "differs")]
 
 
 def _trees_only(store: ObjectStore, dest: Path) -> ObjectStore:
