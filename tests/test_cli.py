@@ -595,13 +595,16 @@ def test_resolve_fetch_requires_content_id(runner, tmp_path):
     assert result.exit_code == ExitStatus.USAGE
 
 
-def _cli_child(args, python=("-m", "swhid.cli"), text=True, stdout=subprocess.PIPE, **env):
-    """Run python [python] args; no *_proxy variables but env's."""
+def _cli_child(
+    args, python=("-m", "swhid.cli"), text=True, stdout=subprocess.PIPE, input=None, **env
+):
+    """Run python [python] args, fed input; no *_proxy variables but env's."""
     src = Path(swhid.__file__).resolve().parents[1]
     base = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     return subprocess.run(
         [sys.executable, *python, *args],
         env=dict(base, PYTHONPATH=str(src), **env),
+        input=input,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=text,
@@ -802,6 +805,18 @@ def test_extract_lines_binary_safe(runner, tmp_path):
     result = runner.invoke(main, ["extract-lines", ident, str(target)])
     assert result.exit_code == 0
     assert result.stdout_bytes == b"\xff\xfe\n"
+
+
+def test_extract_lines_reads_a_pipe():
+    expected = swhid_of(Content(b"a\nb\nc\n")).object_id.hex
+    args = ["extract-lines", f"swh:1:cnt:{expected};lines=2", "/dev/stdin"]
+    child = _cli_child(args, input="a\nb\nc\n")
+    assert (child.returncode, child.stdout, child.stderr) == (0, "b\n", "")
+    child = _cli_child(args, input="a\nB\nc\n")
+    actual = swhid_of(Content(b"a\nB\nc\n")).object_id.hex
+    assert child.returncode == ExitStatus.MISMATCH
+    assert child.stdout == ""
+    assert child.stderr == f"swhid: /dev/stdin hashes to {actual}, expected {expected}\n"
 
 
 # --- group-level behavior ------------------------------------------------------------

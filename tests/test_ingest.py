@@ -3,6 +3,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -882,6 +883,49 @@ def test_store_load_turns_read_errors_into_store_errors(tmp_path):
     assert str(excinfo.value) == str(error)
 
 
+@pytest.mark.parametrize("linked", ["bucket", "objects"])
+def test_store_load_follows_a_symlinked_directory(tmp_path, linked):
+    make_tree(tmp_path / "proj")
+    _, store = ingest_path(tmp_path / "proj")
+    store.save(tmp_path / "exported")
+    objects = tmp_path / "exported" / "objects"
+    moved = objects / sorted(os.listdir(objects))[0] if linked == "bucket" else objects
+    os.rename(moved, tmp_path / "elsewhere")
+    os.symlink(tmp_path / "elsewhere", moved)
+    loaded = ObjectStore.load(tmp_path / "exported")
+    assert set(loaded) == set(store)
+    assert [loaded.get(*key) for key in store] == [store.get(*key) for key in store]
+
+
+def test_store_load_names_the_first_bad_item_in_name_order(tmp_path):
+    bucket = tmp_path / "exported" / "objects" / "ab"
+    bucket.mkdir(parents=True)
+    for name in ("f" * 38, "0" * 38, "7" * 38):  # not in name order on disk
+        (bucket / name).write_bytes(b"blob 0\x00")
+    with pytest.raises(StoreError) as excinfo:
+        ObjectStore.load(tmp_path / "exported")
+    assert str(excinfo.value) == f"objects/ab/{'0' * 38}: bytes do not hash to the file name"
+
+
+def test_store_reports_an_ingested_file_deleted_since(tmp_path):
+    root = tmp_path / "proj"
+    make_tree(root)
+    _, store = ingest_path(root)
+    key = (ObjectType.CONTENT, content_id(Content(b"hello\n")))
+    (root / "docs" / "readme.txt").unlink()
+    message = f"content {key[1].hex}: {root / 'docs' / 'readme.txt'}: No such file or directory"
+    with pytest.raises(StoreError) as excinfo:
+        store.get(*key)
+    assert str(excinfo.value) == message
+    out = tmp_path / "exported"
+    with pytest.raises(StoreError) as excinfo:
+        store.save(out)
+    assert str(excinfo.value) == message
+    assert not list((out / "objects").glob("*/*" + key[1].hex[2:]))
+    assert not list((out / "objects").glob("*/.*"))
+    assert store.audit() == [CoreSwhid(*key)]
+
+
 def _hostile_export(tmp_path, kind):
     """An export whose one object file is a FIFO, or a symlink to /dev/zero."""
     item = tmp_path / "exported" / "objects" / "ab" / ("ab" * 19)
@@ -938,6 +982,99 @@ def test_verify_objects_from_a_hostile_export_exits_3(tmp_path, kind):
     assert child.returncode == 3
     assert child.stderr == f"swhid: {message}\n"
     assert child.stdout == ""
+
+
+def _object_files(export: str) -> list:
+    objects = os.path.join(export, "objects")
+    return sorted(
+        os.path.join(objects, bucket, item)
+        for bucket in os.listdir(objects)
+        for item in os.listdir(os.path.join(objects, bucket))
+    )
+
+
+_HEX40 = st.text("0123456789abcdef", min_size=40, max_size=40)
+_MUTATIONS = ("truncate", "append", "flip", "swap", "rename", "directory", "symlink", "drop")
+
+
+def _mutate(export: str, mutation: str, data) -> None:
+    """Apply one mutation to an export, drawing its choices from data."""
+    if mutation == "drop":
+        shutil.rmtree(os.path.join(export, "objects"))
+        return
+    files = _object_files(export)
+    victim = data.draw(st.sampled_from(files))
+    other = data.draw(st.sampled_from([f for f in files if f != victim] or files))
+    with open(victim, "rb") as fh:
+        body = bytearray(fh.read())
+    if mutation in ("truncate", "append", "flip"):
+        if mutation == "truncate":
+            del body[data.draw(st.integers(0, len(body) - 1)) :]
+        elif mutation == "append":
+            body += data.draw(st.binary(min_size=1, max_size=8))
+        else:
+            body[data.draw(st.integers(0, len(body) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        with open(victim, "wb") as fh:
+            fh.write(body)
+    elif mutation == "swap":
+        os.rename(victim, victim + ".swap")
+        os.rename(other, victim)
+        os.rename(victim + ".swap", other)
+    elif mutation == "rename":
+        names = [f[-41:].replace(os.sep, "") for f in files]
+        hexid = data.draw(st.one_of(st.sampled_from(names), _HEX40).filter(
+            lambda h: h != victim[-41:].replace(os.sep, "")
+        ))
+        bucket = os.path.join(export, "objects", hexid[:2])
+        os.makedirs(bucket, exist_ok=True)
+        os.rename(victim, os.path.join(bucket, hexid[2:]))
+    else:
+        os.unlink(victim)
+        if mutation == "directory":
+            os.mkdir(victim)
+        else:
+            os.symlink(other, victim)
+
+
+def _export_outcome(export: str, root: str, root_id: CoreSwhid):
+    """What load makes of an export (its error text, or each object in order), and verify's run."""
+    try:
+        loaded = ObjectStore.load(export)
+    except StoreError as exc:
+        objects = str(exc)
+    else:
+        objects = [(key, loaded.get(*key)) for key in loaded]
+    cli = CliRunner().invoke(main, ["verify", "--objects", export, str(root_id), root])
+    return objects, (cli.exit_code, cli.stdout, cli.stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=_directories(st.recursive(_LEAVES, _directories, max_leaves=5)),
+    trees_only=st.booleans(),
+    mutation=st.sampled_from(_MUTATIONS),
+    data=st.data(),
+)
+def test_hostile_export_is_refused_or_reads_as_before(tree, trees_only, mutation, data):
+    with tempfile.TemporaryDirectory() as base:
+        root = os.path.join(base, "t")
+        _materialize(os.fsencode(root), tree, [])
+        root_id, store = ingest_path(root)
+        export = os.path.join(base, "exported")
+        store.save(export)
+        if trees_only:
+            for path in _object_files(export):
+                with open(path, "rb") as fh:
+                    if fh.read(5) != b"tree ":
+                        os.unlink(path)
+        before = _export_outcome(export, root, root_id)
+        assert before[1] == (0, f"ok {root_id}\n", "")
+        _mutate(export, mutation, data)
+        objects, cli = _export_outcome(export, root, root_id)
+    if isinstance(objects, str):
+        assert cli == (3, "", f"swhid: {objects}\n")
+    else:
+        assert (objects, cli) == before
 
 
 @pytest.mark.parametrize(
