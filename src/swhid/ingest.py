@@ -170,32 +170,29 @@ class ObjectStore:
             raise StoreError(f"{root}: no objects/ directory")
         store = cls()
         try:
-            for bucket in sorted(base.iterdir()):
-                if not bucket.is_dir() or not _BUCKET_RE.fullmatch(bucket.name):
-                    raise StoreError(f"unexpected entry {bucket.name!r} in objects/")
-                where = f"objects/{bucket.name}/"
-                for item in sorted(bucket.iterdir()):
-                    if not _ITEM_RE.fullmatch(item.name):
-                        raise StoreError(f"unexpected entry {item.name!r} in {where}")
-                    pieces: List[bytes] = []
-                    try:
-                        _, raw = _read_file(item, where + item.name, pieces.append, blob=False)
-                    except UnreadableError as exc:  # an OSError keeps its own text
-                        raise StoreError(str(exc.__cause__ or exc)) from exc
-                    manifest = b"".join(pieces)
-                    kind = manifest.split(b" ", 1)[0]
+            for bucket in sorted(os.listdir(base)):
+                folder = os.path.join(base, bucket)
+                if not _BUCKET_RE.fullmatch(bucket) or not os.path.isdir(folder):
+                    raise StoreError(f"unexpected entry {bucket!r} in objects/")
+                for item in sorted(os.listdir(folder)):
+                    if not _ITEM_RE.fullmatch(item):
+                        raise StoreError(f"unexpected entry {item!r} in objects/{bucket}/")
+                    where = f"objects/{bucket}/{item}"
+                    parts: List[bytes] = []
+                    _, raw = _read_file(os.path.join(folder, item), where, parts.append, blob=False)
+                    manifest = b"".join(parts)
+                    # The header is read in place: no copy of the body.
+                    space, nul = manifest.find(b" "), manifest.find(b"\x00")
+                    kind = manifest if space < 0 else manifest[:space]
                     if kind not in MANIFEST_KIND_TO_TYPE:
-                        raise StoreError(f"{where}{item.name}: unknown manifest kind {kind!r}")
-                    header, nul, body = manifest.partition(b"\x00")
-                    if not nul or header != b"%s %d" % (kind, len(body)):
-                        raise StoreError(
-                            f"{where}{item.name}: header does not give the body's length"
-                        )
-                    if raw.hex() != bucket.name + item.name:
-                        raise StoreError(f"{where}{item.name}: bytes do not hash to the file name")
+                        raise StoreError(f"{where}: unknown manifest kind {kind!r}")
+                    if nul < 0 or manifest[:nul] != b"%s %d" % (kind, len(manifest) - nul - 1):
+                        raise StoreError(f"{where}: header does not give the body's length")
+                    if raw.hex() != bucket + item:
+                        raise StoreError(f"{where}: bytes do not hash to the file name")
                     store._insert(MANIFEST_KIND_TO_TYPE[kind], raw, manifest)
-        except OSError as exc:
-            raise StoreError(str(exc)) from exc
+        except (OSError, UnreadableError) as exc:  # an OSError keeps its own text
+            raise StoreError(str(exc.__cause__ or exc)) from exc
         return store
 
 

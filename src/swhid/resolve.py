@@ -132,7 +132,7 @@ def resolve_metadata(
     body = get(url, timeout, retries, backoff, sleep, _METADATA_LIMIT)
     try:
         payload = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # also deep nesting
         raise TransportError(f"GET {url}: body is not JSON") from exc
     if not isinstance(payload, dict):
         raise TransportError(f"GET {url}: unexpected response shape")

@@ -110,6 +110,9 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
             if archive.garbage_resolve:
                 self._send(200, b"<html>not json</html>", "text/html")
                 return
+            if archive.resolve_body is not None:
+                self._send(200, archive.resolve_body, "application/json")
+                return
             if archive.endless:
                 self._send_endless(200, "application/json")
                 return
@@ -157,7 +160,8 @@ class MockArchive:
     contents maps content hex ids to raw bytes; metadata maps core
     identifier strings to resolve-endpoint payloads. corrupt_every=N flips
     a byte in every Nth raw response; fail_raw/fail_resolve serve that
-    many 500s before succeeding.
+    many 500s before succeeding. resolve_body, if set, is served as it
+    is, with status 200, to every resolve request.
 
     Hostile modes: redirect_to=BASE answers every /old/PATH with a 302 to
     BASE/PATH; short_by=N declares N more bytes than each body holds;
@@ -188,6 +192,7 @@ class MockArchive:
         self.fail_raw = 0
         self.fail_resolve = 0
         self.garbage_resolve = False
+        self.resolve_body = None
         self.redirect_to = None
         self.short_by = 0
         self.resolve_padding = 0

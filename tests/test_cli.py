@@ -671,6 +671,17 @@ def _with_credentials(archive) -> str:
 BASIC = "Basic " + base64.b64encode(b"user:p@ss").decode()
 
 
+def test_resolve_check_of_deeply_nested_json_exits_3(archive):
+    swhid = archive.add_content(b"x")
+    archive.resolve_body = b"[" * 100_000
+    child = _cli_child(["resolve", "--check", "--endpoint", archive.endpoint, str(swhid)])
+    assert child.returncode == ExitStatus.IO_ERROR
+    assert child.stdout == ""
+    url = f"{archive.endpoint}/api/1/resolve/{swhid}/"
+    assert child.stderr == f"swhid: GET {url}: body is not JSON\n"
+    assert "Traceback" not in child.stderr
+
+
 def test_resolve_sends_proxy_credentials_as_basic(archive):
     swhid = archive.add_content(b"proxied\n")
     child = _cli_child(

@@ -1017,6 +1017,8 @@ def _mutate(export: str, mutation: str, data) -> None:
         with open(victim, "wb") as fh:
             fh.write(body)
     elif mutation == "swap":
+        if other == victim:  # a trees-only export of a flat tree holds one file
+            return
         os.rename(victim, victim + ".swap")
         os.rename(other, victim)
         os.rename(victim + ".swap", other)

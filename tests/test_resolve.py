@@ -170,6 +170,16 @@ def test_resolve_metadata_rejects_non_json(archive):
         resolve_metadata(swhid, archive.endpoint)
 
 
+def test_resolve_metadata_rejects_deeply_nested_json(archive):
+    # 100 KB, well under the 1 MiB body limit, but deeper than json recurses.
+    swhid = archive.add_content(b"x")
+    archive.resolve_body = b"[" * 100_000
+    with pytest.raises(TransportError) as excinfo:
+        resolve_metadata(swhid, archive.endpoint)
+    url = f"{archive.endpoint}/api/1/resolve/{swhid}/"
+    assert str(excinfo.value) == f"GET {url}: body is not JSON"
+
+
 MALFORMED_ENDPOINTS = [
     "foo",
     "file:///etc",
