@@ -172,7 +172,9 @@ class ObjectStore:
         try:
             for bucket in sorted(os.listdir(base)):
                 folder = os.path.join(base, bucket)
-                if not _BUCKET_RE.fullmatch(bucket) or not os.path.isdir(folder):
+                # isdir hides every OSError; Path.is_dir raises a permission fault.
+                is_dir = os.path.isdir(folder) or Path(folder).is_dir()
+                if not is_dir or not _BUCKET_RE.fullmatch(bucket):
                     raise StoreError(f"unexpected entry {bucket!r} in objects/")
                 for item in sorted(os.listdir(folder)):
                     if not _ITEM_RE.fullmatch(item):

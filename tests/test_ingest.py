@@ -883,6 +883,27 @@ def test_store_load_turns_read_errors_into_store_errors(tmp_path):
     assert str(excinfo.value) == str(error)
 
 
+@pytest.mark.parametrize("name", ["ab", "zz"])
+def test_store_load_keeps_a_bucket_stat_fault_apart_from_a_bad_layout(
+    tmp_path, monkeypatch, name
+):
+    # objects/ listable but not searchable: stat of the bucket fails with
+    # EACCES. A test running as root cannot make that happen on disk.
+    folder = tmp_path / "exported" / "objects" / name
+    folder.mkdir(parents=True)
+    real_stat = os.stat
+
+    def stat(path, *args, **kwargs):
+        if os.fspath(path) == str(folder):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat)
+    with pytest.raises(StoreError) as excinfo:
+        ObjectStore.load(tmp_path / "exported")
+    assert str(excinfo.value) == f"[Errno 13] {os.strerror(errno.EACCES)}: '{folder}'"
+
+
 @pytest.mark.parametrize("linked", ["bucket", "objects"])
 def test_store_load_follows_a_symlinked_directory(tmp_path, linked):
     make_tree(tmp_path / "proj")
