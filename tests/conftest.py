@@ -107,9 +107,6 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
                 archive.fail_resolve -= 1
                 self._send(500, b"boom", "text/plain")
                 return
-            if archive.garbage_resolve:
-                self._send(200, b"<html>not json</html>", "text/html")
-                return
             if archive.resolve_body is not None:
                 self._send(200, archive.resolve_body, "application/json")
                 return
@@ -191,7 +188,6 @@ class MockArchive:
         self.corrupt_every = 0
         self.fail_raw = 0
         self.fail_resolve = 0
-        self.garbage_resolve = False
         self.resolve_body = None
         self.redirect_to = None
         self.short_by = 0

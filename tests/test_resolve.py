@@ -165,7 +165,7 @@ def test_fetch_rejects_non_content_identifier(archive):
 
 def test_resolve_metadata_rejects_non_json(archive):
     swhid = archive.add_content(b"x")
-    archive.garbage_resolve = True
+    archive.resolve_body = b"<html>not json</html>"
     with pytest.raises(TransportError):
         resolve_metadata(swhid, archive.endpoint)
 
