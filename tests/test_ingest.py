@@ -3,6 +3,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,12 +13,13 @@ from pathlib import Path
 
 import pytest
 from clirunner import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import swhid.ingest
 import swhid.model
 from swhid.cli import main
 from swhid.errors import (
+    ExitStatus,
     NotFoundError,
     RangeOutOfBoundsError,
     SchemaError,
@@ -1428,6 +1430,94 @@ def test_extract_lines_slices_cleanly(lines, trailing, data):
     if end < len(lines) or trailing:
         expected += b"\n"
     assert out == expected
+
+
+def _split_every_line(data: bytes, line_range: LineRange) -> bytes:
+    """extract_lines as it was first written: split all of data, then slice."""
+    physical = data.split(b"\n")
+    if data.endswith(b"\n") or not data:
+        physical = physical[:-1]
+    count = len(physical)
+    start = line_range.start
+    end = line_range.end if line_range.end is not None else start
+    if start > count:
+        raise RangeOutOfBoundsError(
+            f"range starts at line {start} but content has {count} line(s)"
+        )
+    end = min(end, count)
+    selected = b"\n".join(physical[start - 1 : end])
+    if end < count or data.endswith(b"\n"):
+        selected += b"\n"
+    return selected
+
+
+def _outcome(extract, data: bytes, line_range: LineRange):
+    try:
+        return extract(data, line_range)
+    except RangeOutOfBoundsError as exc:
+        return str(exc)
+
+
+_HUGE = st.integers(min_value=2**63 - 2, max_value=2**64 + 2)
+
+
+@st.composite
+def _line_ranges(draw):
+    start = draw(st.integers(min_value=1, max_value=45) | _HUGE)
+    end = draw(
+        st.sampled_from([None, start])
+        | st.integers(min_value=start + 1, max_value=start + 45)
+        | st.integers(min_value=max(start + 1, 2**63 - 1), max_value=2**64 + 3)
+    )
+    return LineRange(start, end)
+
+
+@settings(max_examples=500)
+@given(
+    data=st.lists(st.sampled_from([b"a", b"\r", b"\n"]), max_size=40).map(b"".join),
+    line_range=_line_ranges(),
+)
+@example(data=b"a\nb", line_range=LineRange(1, 2**63))
+@example(data=b"a\n", line_range=LineRange(1, 2**64))
+@example(data=b"", line_range=LineRange(2**63))
+@example(data=b"a\na", line_range=LineRange(2**63 - 1, 2**63))
+def test_extract_lines_matches_splitting_every_line(data, line_range):
+    assert _outcome(extract_lines, data, line_range) == _outcome(
+        _split_every_line, data, line_range
+    )
+
+
+def test_extract_lines_command_on_a_mebibyte_file(tmp_path):
+    rng = random.Random(21)
+    data = b"".join(
+        b"x" * rng.randrange(40) + rng.choice([b"\n", b"\r\n"]) for _ in range(52_000)
+    ) + b"unterminated"  # about 1 MiB
+    count = data.count(b"\n") + 1
+    target = tmp_path / "big.txt"
+    target.write_bytes(data)
+    ident = swhid_of(Content(data))
+    for lines, code, err in [
+        ("1-2", 0, ""),
+        (f"{count}-{count + 7}", 0, ""),
+        (
+            str(count + 1),
+            ExitStatus.USAGE,
+            f"swhid: range starts at line {count + 1} but content has {count} line(s)\n",
+        ),
+    ]:
+        args = ["extract-lines", f"{ident};lines={lines}", str(target)]
+        child = subprocess.run(
+            [sys.executable, "-m", "swhid.cli", *args],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            timeout=60,
+        )
+        out = _outcome(_split_every_line, data, parse(f"{ident};lines={lines}").lines)
+        assert (child.returncode, child.stdout, child.stderr.decode()) == (
+            code,
+            out if code == 0 else b"",
+            err,
+        )
 
 
 # --- description files ----------------------------------------------------------------
