@@ -606,18 +606,16 @@ def extract_lines(data: bytes, line_range: LineRange) -> bytes:
     start past the last line raises RangeOutOfBoundsError. The result ends
     with LF only if the last extracted line did in the original bytes.
     """
-    physical = data.split(b"\n")
-    if data.endswith(b"\n") or not data:
-        physical = physical[:-1]
-    count = len(physical)
     start = line_range.start
     end = line_range.end if line_range.end is not None else start
+    # Split up to line end only. Capped by the length, as bytes.split
+    # refuses a maxsplit past sys.maxsize.
+    parts = data.split(b"\n", min(end, len(data)))
+    if len(parts) > end:  # line `end` ends in LF
+        return b"\n".join(parts[start - 1 : end]) + b"\n"
+    count = len(parts) - (not parts[-1])  # all split; b"" after a final LF
     if start > count:
         raise RangeOutOfBoundsError(
             f"range starts at line {start} but content has {count} line(s)"
         )
-    end = min(end, count)
-    selected = b"\n".join(physical[start - 1 : end])
-    if end < count or data.endswith(b"\n"):
-        selected += b"\n"
-    return selected
+    return b"\n".join(parts[start - 1 :])
