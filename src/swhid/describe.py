@@ -11,7 +11,7 @@ import json
 import re
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import MalformedPersonError, SchemaError, UnknownReferenceError
+from .errors import MalformedPersonError, ModelError, SchemaError, UnknownReferenceError
 from .model import (
     BranchKind,
     BranchTarget,
@@ -219,22 +219,17 @@ _KINDS = {
 }
 
 
-def _id_slots(value: Any) -> Sequence[Any]:
-    """The ids of an id field: one id, a tuple of ids, or branch targets."""
-    if isinstance(value, dict):
-        return [branch.target for branch in value.values()]
-    return value if isinstance(value, tuple) else (value,)
-
-
 def _references(description: NodeDescription) -> List[str]:
     """The labels a description references, in field order."""
-    id_fields = _KINDS[description.kind.long_name][2]
-    return [
-        slot
-        for key in id_fields
-        for slot in _id_slots(description.fields[key])
-        if isinstance(slot, str)
-    ]
+    refs = []
+    for key in _KINDS[description.kind.long_name][2]:
+        value = description.fields[key]  # one id, a tuple of ids, or branches
+        if isinstance(value, dict):
+            value = [branch.target for branch in value.values()]
+        elif not isinstance(value, tuple):
+            value = (value,)
+        refs.extend(slot for slot in value if isinstance(slot, str))
+    return refs
 
 
 def _resolve(value: Any, labels: Dict[str, ObjectId]) -> Any:
@@ -323,7 +318,10 @@ def realize_descriptions(
         fields = dict(description.fields)
         for key in id_fields:
             fields[key] = _resolve(fields[key], labels)
-        node = cls(**fields)
+        try:
+            node = cls(**fields)
+        except ModelError as exc:  # a model rule describe_nodes does not check
+            raise SchemaError(str(exc), f"$[{index}]") from exc
         swhid = swhid_of(node) if store is None else store.add(node)
         results[index] = (swhid, node)
         if description.label:

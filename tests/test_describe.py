@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from swhid.errors import SchemaError, UnknownReferenceError
+from swhid.errors import ExitStatus, ModelError, SchemaError, UnknownReferenceError
 from swhid.describe import describe_nodes, realize_descriptions
 
 _TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
@@ -197,6 +197,33 @@ def test_describe_rejects_malformed_document(document, location, message):
         describe_nodes(document)
     assert excinfo.value.location == location
     assert str(excinfo.value) == f"{location}: {message}"
+
+
+# Documents describe_nodes accepts but a model constructor refuses while
+# realize_descriptions builds the entry.
+_MODEL_RULES = [
+    ("empty-release-name", _doc(_snapshot({}), _release(name="")), "$[1]",
+     "release name is empty"),
+    ("header-key-with-space", _doc(_revision(extra_headers=[["a b", "v"]])), "$[0]",
+     "extra header key b'a b' is not a single word"),
+    ("branch-name-with-nul", _doc(_snapshot({"a\u0000b": None})), "$[0]",
+     "branch name b'a\\x00b' contains NUL"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, location, message",
+    [case[1:] for case in _MODEL_RULES],
+    ids=[case[0] for case in _MODEL_RULES],
+)
+def test_realize_reports_a_model_rule_as_schema_error(document, location, message):
+    descriptions = describe_nodes(document)
+    with pytest.raises(SchemaError) as excinfo:
+        realize_descriptions(descriptions)
+    assert excinfo.value.location == location
+    assert str(excinfo.value) == f"{location}: {message}"
+    assert isinstance(excinfo.value.__cause__, ModelError)
+    assert excinfo.value.exit_status == ExitStatus.USAGE
 
 
 def test_describe_rejects_non_ascii_base64():
