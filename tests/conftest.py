@@ -118,8 +118,7 @@ class _ArchiveHandler(BaseHTTPRequestHandler):
             if payload is None:
                 self._send(404, b"{}", "application/json")
                 return
-            body = json.dumps(payload).encode() + b" " * archive.resolve_padding
-            self._send(200, body, "application/json")
+            self._send(200, json.dumps(payload).encode(), "application/json")
         elif path.startswith("/api/1/content/sha1_git:") and path.endswith(
             "/raw/"
         ):
@@ -161,11 +160,10 @@ class MockArchive:
     is, with status 200, to every resolve request.
 
     Hostile modes: redirect_to=BASE answers every /old/PATH with a 302 to
-    BASE/PATH; short_by=N declares N more bytes than each body holds;
-    resolve_padding=N appends N spaces to resolve payloads; and endless
-    streams resolve and redirect bodies without a length until the client
-    hangs up (or ENDLESS_CAP bytes, so a client that reads it all still
-    ends).
+    BASE/PATH; short_by=N declares N more bytes than each body holds; and
+    endless streams resolve and redirect bodies without a length until the
+    client hangs up (or ENDLESS_CAP bytes, so a client that reads it all
+    still ends).
 
     A request in absolute form (GET http://host/path) is served as if it
     were for /path and counted in proxied, so the archive doubles as a
@@ -191,7 +189,6 @@ class MockArchive:
         self.resolve_body = None
         self.redirect_to = None
         self.short_by = 0
-        self.resolve_padding = 0
         self.endless = False
         self.endless_sent = 0
         self.redirects = 0

@@ -472,7 +472,7 @@ def _no_backoff(monkeypatch):
     "mode, value",
     [
         ("short_by", 10),
-        ("resolve_padding", 2 << 20),
+        ("resolve_body", b" " * (2 << 20) + b"{}"),
         ("endless", True),
     ],
 )

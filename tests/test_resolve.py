@@ -277,7 +277,8 @@ def test_short_metadata_body_is_transport_error(archive):
 
 def test_oversized_metadata_is_refused_unread(archive):
     swhid = archive.add_content(b"x")
-    archive.resolve_padding = 1 << 20  # valid JSON, one MiB of spaces
+    payload = json.dumps(archive.metadata[str(swhid)]).encode()
+    archive.resolve_body = payload + b" " * (1 << 20)  # valid JSON, one MiB of spaces
     with pytest.raises(TransportError, match="over 1048576 bytes"):
         resolve_metadata(swhid, archive.endpoint, sleep=lambda _: None)
     assert archive.resolve_requests == 1
@@ -286,7 +287,7 @@ def test_oversized_metadata_is_refused_unread(archive):
 def test_metadata_of_exactly_the_limit_is_read(archive):
     swhid = archive.add_content(b"x")
     payload = json.dumps(archive.metadata[str(swhid)]).encode()
-    archive.resolve_padding = (1 << 20) - len(payload)
+    archive.resolve_body = payload + b" " * ((1 << 20) - len(payload))
     assert resolve_metadata(swhid, archive.endpoint).object_type_confirmed
 
 
@@ -392,10 +393,11 @@ def _corrupted(archive, swhid):
 
 
 def _oversized(archive, swhid):
-    archive.resolve_padding = 1 << 20
+    payload = json.dumps(archive.metadata[str(swhid)]).encode()
+    archive.resolve_body = payload + b" " * (1 << 20)
     with pytest.raises(TransportError, match="over 1048576 bytes"):
         resolve_metadata(swhid, archive.endpoint)
-    archive.resolve_padding = 0
+    archive.resolve_body = None
 
 
 @pytest.mark.parametrize(
