@@ -168,6 +168,29 @@ def test_identify_recursive_json_bytes(runner, tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "root, ident",
+    [
+        ("a.txt", "swh:1:cnt:78981922613b2afb6025042ff6bd878ac1994e85"),
+        ("link", "swh:1:cnt:8d14cbf983b3fad683171c9418998d9f68340823"),  # b"a.txt"
+    ],
+)
+def test_identify_recursive_on_a_non_directory_gives_one_row(
+    runner, tmp_path, monkeypatch, root, ident
+):
+    (tmp_path / "a.txt").write_bytes(b"a\n")
+    os.symlink("a.txt", tmp_path / "link")
+    monkeypatch.chdir(tmp_path)
+    text = runner.invoke(main, ["identify", "--recursive", root])
+    assert (text.exit_code, text.stdout) == (0, f"{ident}\t{root}\n")
+    as_json = runner.invoke(main, ["identify", "--recursive", "--json", root])
+    assert as_json.exit_code == 0
+    assert as_json.stdout == json.dumps([{"path": root, "swhid": ident}], indent=2) + "\n"
+    collected = []
+    swhid, _ = ingest_path(root, collect=collected)
+    assert (str(swhid), collected) == (ident, [("", swhid)])
+
+
 def test_identify_recursive_lists_children_first(runner, tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "a.txt").write_bytes(b"a\n")
