@@ -8,10 +8,12 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from clirunner import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import swhid
 import swhid.cli
@@ -246,6 +248,116 @@ def test_identify_requires_a_path(runner):
     assert result.exit_code == ExitStatus.USAGE
 
 
+# Names with bytes that JSON escapes, a tab, a space, non-UTF-8 bytes and a
+# non-ASCII letter; scandir never yields "." or "..".
+_ROW_NAMES = (
+    st.lists(
+        st.sampled_from([b"a", b"\t", b'"', b"\\", b" ", b"\xe9", b"\xff", "é".encode()]),
+        min_size=1,
+        max_size=4,
+    )
+    .map(b"".join)
+    .filter(lambda name: name not in (b".", b".."))
+)
+_ROW_LEAVES = st.one_of(
+    st.tuples(st.just("file"), st.binary(max_size=8), st.booleans()),
+    st.tuples(st.just("link"), st.sampled_from([b"a", b"../\xe9", b"missing"])),
+)
+
+
+def _row_dirs(children):
+    # The flag adds a "*.tmp" file and directory for --exclude to drop.
+    return st.tuples(
+        st.just("dir"),
+        st.dictionaries(_ROW_NAMES, children, min_size=1, max_size=3),
+        st.booleans(),
+    )
+
+
+def _build(path: bytes, node) -> None:
+    if node[0] == "file":
+        with open(path, "wb") as fh:
+            fh.write(node[1])
+        os.chmod(path, 0o755 if node[2] else 0o644)
+    elif node[0] == "link":
+        os.symlink(node[1], path)
+    else:
+        os.mkdir(path)
+        for name, child in node[1].items():
+            _build(os.path.join(path, name), child)
+        if node[2]:
+            _build(os.path.join(path, b"junk.tmp"), ("file", b"junk", False))
+            _build(os.path.join(path, b"cache.tmp"), ("dir", {b"x": ("file", b"", False)}, False))
+
+
+def _identify_reference(paths, excludes, recursive, as_json) -> bytes:
+    """identify's stdout, built from ingest_path's collect rows and json.dumps."""
+    rows = []
+    for path in paths:
+        collected = []
+        root, _ = ingest_path(path, excludes, collect=collected)
+        for rel, swhid in collected if recursive else [("", root)]:
+            rows.append((os.path.join(path, rel) if rel else path, str(swhid)))
+    if not as_json:
+        return b"".join(os.fsencode(f"{s}\t{p}\n") for p, s in rows)
+    dicts = []
+    for p, s in rows:
+        try:
+            p.encode("utf-8")
+            path_b64 = {}
+        except UnicodeEncodeError:
+            path_b64 = {"path_b64": base64.b64encode(os.fsencode(p)).decode()}
+        dicts.append({"path": p, **path_b64, "swhid": s})
+    return (json.dumps(dicts, indent=2) + "\n").encode()
+
+
+_ROOTS = st.tuples(
+    _ROW_NAMES,
+    st.one_of(_ROW_LEAVES, _row_dirs(st.recursive(_ROW_LEAVES, _row_dirs, max_leaves=8))),
+    st.booleans(),  # a directory root spelt with a trailing "/"
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    roots=st.lists(_ROOTS, min_size=1, max_size=3, unique_by=lambda root: root[0]),
+    exclude=st.booleans(),
+)
+def test_identify_stdout_matches_ingest_path_rows(roots, exclude, tmp_path_factory):
+    base = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())
+    paths, kinds = [], []
+    for name, node, slash in roots:
+        path = os.path.join(base, os.fsdecode(name))
+        _build(os.fsencode(path), node)
+        paths.append(path + "/" if slash and node[0] == "dir" else path)
+        kinds.append("dir" if node[0] == "dir" else "cnt")
+    other = {"dir": os.path.join(base, "other-dir"), "cnt": os.path.join(base, "other-file")}
+    _build(os.fsencode(other["dir"]), ("dir", {b"f": ("file", b"", False)}, False))
+    _build(os.fsencode(other["cnt"]), ("file", b"", False))
+    missing = os.path.join(base, "missing")
+    # --type of the first root's kind fails on a last path of the other kind.
+    kind = kinds[0]
+    same_kind = [p for p, k in zip(paths, kinds) if k == kind]
+    wrong, wrong_kind = (other["cnt"], "content") if kind == "dir" else (other["dir"], "directory")
+    options = ["--exclude", "*.tmp"] if exclude else []
+    runner = CliRunner()
+    for flags in ([], ["--recursive"], ["--json"], ["--recursive", "--json"]):
+        result = runner.invoke(main, ["identify", *flags, *options, *paths])
+        assert (result.exit_code, result.stderr_bytes) == (0, b"")
+        assert result.stdout_bytes == _identify_reference(
+            paths, options[1:], "--recursive" in flags, "--json" in flags
+        )
+        failed = runner.invoke(main, ["identify", *flags, *options, *paths, missing])
+        assert (failed.exit_code, failed.stdout_bytes) == (ExitStatus.IO_ERROR, b"")
+        assert failed.stderr == f"swhid: {missing}: no such file or directory\n"
+        args = ["identify", *flags, *options, "--type", kind, *same_kind, wrong]
+        failed = runner.invoke(main, args)
+        assert (failed.exit_code, failed.stdout_bytes) == (ExitStatus.USAGE, b"")
+        assert failed.stderr == (
+            f"swhid: {wrong}: computed a {wrong_kind} identifier, but --type {kind} was requested\n"
+        )
+
+
 # --- parse --------------------------------------------------------------------
 
 
@@ -254,6 +366,18 @@ def test_parse_text_output(runner):
     assert result.exit_code == 0
     assert "object type  content" in result.output
     assert "94a9ed024d3859793618152ea559a168bbcbb5e2" in result.output
+
+
+def test_parse_text_output_with_qualifiers(runner):
+    result = runner.invoke(main, ["parse", GPL3_ID + ";origin=https://example.org/r;lines=2-9"])
+    assert (result.exit_code, result.stderr_bytes) == (0, b"")
+    assert result.stdout_bytes == (
+        f"canonical    {GPL3_ID};origin=https://example.org/r;lines=2-9\n"
+        "object type  content\n"
+        "object id    94a9ed024d3859793618152ea559a168bbcbb5e2\n"
+        "origin       https://example.org/r\n"
+        "lines        2-9\n"
+    ).encode()
 
 
 def test_parse_json_output(runner):
@@ -443,6 +567,23 @@ def test_resolve_check_against_archive(runner, archive):
     )
     assert result.exit_code == 0
     assert "known to archive (type confirmed)" in result.output
+
+
+def test_resolve_check_json_bytes(runner, archive):
+    swhid = archive.add_content(b"checked\n")
+    result = runner.invoke(
+        main,
+        ["resolve", "--check", "--json", "--endpoint", archive.endpoint, str(swhid)],
+    )
+    assert (result.exit_code, result.stderr_bytes) == (0, b"")
+    assert result.stdout_bytes == (
+        "{\n"
+        f'  "url": "https://archive.softwareheritage.org/{swhid}",\n'
+        '  "known": true,\n'
+        '  "type_confirmed": true,\n'
+        f'  "browse_url": "{archive.endpoint}/browse/{swhid}"\n'
+        "}\n"
+    ).encode()
 
 
 def test_resolve_check_endpoint_env_var(runner, archive):

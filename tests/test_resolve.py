@@ -180,6 +180,21 @@ def test_resolve_metadata_rejects_deeply_nested_json(archive):
     assert str(excinfo.value) == f"GET {url}: body is not JSON"
 
 
+@pytest.mark.parametrize("body", [b"[]", b"null", b'"x"', b"5"])
+def test_resolve_metadata_rejects_json_that_is_not_an_object(archive, body):
+    swhid = archive.add_content(b"x")
+    archive.resolve_body = body
+    with pytest.raises(TransportError) as excinfo:
+        resolve_metadata(swhid, archive.endpoint)
+    url = f"{archive.endpoint}/api/1/resolve/{swhid}/"
+    assert str(excinfo.value) == f"GET {url}: unexpected response shape"
+    result = CliRunner().invoke(
+        main, ["resolve", "--check", "--endpoint", archive.endpoint, str(swhid)]
+    )
+    assert (result.exit_code, result.stdout_bytes) == (3, b"")
+    assert result.stderr == f"swhid: GET {url}: unexpected response shape\n"
+
+
 MALFORMED_ENDPOINTS = [
     "foo",
     "file:///etc",
