@@ -24,14 +24,14 @@ from .syntax import SCHEMA_VERSION, ObjectType, _scan, parse
 _RESOLVERS = ("archive-web", "archive-api", "identifiers-org", "n2t")
 
 
-def _write(data: Union[str, bytes]) -> None:
-    """Write data to stdout; text is encoded by os.fsencode.
+def _write(data: Union[str, bytes, bytearray]) -> None:
+    """Write data to stdout in one call; text is encoded by os.fsencode.
 
     That is the filesystem encoding with errors="surrogateescape", the
     inverse of how names were read, so a name that is not UTF-8 comes out
     as its own bytes whatever errors setting stdout has.
     """
-    sys.stdout.buffer.write(data if isinstance(data, bytes) else os.fsencode(data))
+    sys.stdout.buffer.write(os.fsencode(data) if isinstance(data, str) else data)
 
 
 def _write_json(value) -> None:
@@ -44,25 +44,39 @@ def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
     from .ingest import _walk
 
-    rows = []
+    # Only each row's bytes are kept, encoded as _write encodes text, and they
+    # go out in one write at the end, so an error leaves stdout empty.
+    encoding, errors = sys.getfilesystemencoding(), sys.getfilesystemencodeerrors()
+    out = bytearray(b"[\n" if args.as_json else b"")
+    if args.as_json:
+        from json.encoder import encode_basestring_ascii
+
+    def row(node: tuple) -> None:  # a node of the path being walked
+        rel, object_type, raw = node
+        name = prefix + rel if rel else path
+        swhid = f"swh:{SCHEMA_VERSION}:{object_type.value}:{raw.hex()}"
+        if args.as_json:  # json.dumps(indent=2) of its dict, plus _path_b64, at C speed
+            encoded = encode_basestring_ascii(name)
+            if not name.isascii():  # the common ASCII path skips the UTF-8 check
+                encoded += "".join(',\n    "%s": "%s"' % kv for kv in _path_b64(name).items())
+            text = '  {\n    "path": %s,\n    "swhid": "%s"\n  },\n' % (encoded, swhid)
+        else:
+            text = f"{swhid}\t{name}\n"
+        out.extend(text.encode(encoding, errors))
+
     for path in args.paths:
-        # Nothing is kept but the rows printed; --jobs changes nothing.
-        collected = [] if args.recursive else None
-        object_type, raw = _walk(path, args.excludes, rows=collected)
+        prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
+        object_type, raw = _walk(path, args.excludes, rows=row if args.recursive else None)
         if args.force_type is not None and object_type.value != args.force_type:
             raise TypeMismatchError(
                 f"{path}: computed a {object_type.long_name}"
                 f" identifier, but --type {args.force_type} was requested"
             )
-        prefix = os.path.join(path, "")  # what os.path.join(path, rel) puts before rel
-        rows.extend(
-            (prefix + r if r else path, f"swh:{SCHEMA_VERSION}:{t.value}:{i.hex()}")
-            for r, t, i in collected or [("", object_type, raw)]
-        )
+        if not args.recursive:
+            row(("", object_type, raw))
     if args.as_json:
-        _write(_json_rows(rows) + "\n")
-    else:
-        _write("".join(f"{s}\t{p}\n" for p, s in rows))
+        out[-2:] = b"\n]\n"  # in place of the last row's ",\n"; each path gives a row
+    _write(out)
 
 
 def _path_b64(path: str) -> dict:
@@ -74,20 +88,6 @@ def _path_b64(path: str) -> dict:
         import base64
 
         return {"path_b64": base64.b64encode(os.fsencode(path)).decode()}
-
-
-def _json_rows(rows) -> str:
-    """json.dumps(indent=2) of path/swhid dicts (plus _path_b64), at C speed."""
-    from json.encoder import encode_basestring_ascii
-
-    out = []
-    for path, swhid in rows:
-        encoded = encode_basestring_ascii(path)
-        if not path.isascii():  # the common ASCII path skips the UTF-8 check
-            for key, value in _path_b64(path).items():
-                encoded += ',\n    "%s": "%s"' % (key, value)
-        out.append('  {\n    "path": %s,\n    "swhid": "%s"\n  }' % (encoded, swhid))
-    return "[\n%s\n]" % ",\n".join(out) if out else "[]"
 
 
 def parse_command(args: argparse.Namespace) -> Optional[ExitStatus]:

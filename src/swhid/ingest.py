@@ -4,10 +4,10 @@ One walk, _walk(), hashes a tree once, each file as a stream, opening each
 directory and file by name relative to its parent directory's fd. It keeps
 only what its caller needs: ingest_path() stores one manifest per distinct
 object (a file is kept as its path, not its bytes), verify_path() keeps
-tree manifests only to compare with a reference, and identify keeps
-nothing. Symlinks are never followed: the link target bytes are the
-content, exactly as in version control. verify_path() recomputes an id and,
-given a reference store, walks both trees to localize the divergence.
+tree manifests only to compare with a reference, and identify keeps only
+the bytes it prints. Symlinks are never followed: the link target bytes are
+the content, exactly as in version control. verify_path() recomputes an id
+and, given a reference store, walks both trees to localize the divergence.
 """
 from __future__ import annotations
 
@@ -356,13 +356,13 @@ def _walk(
     excludes: Sequence[str] = (),
     trees: Optional[ObjectStore] = None,
     contents: Optional[ObjectStore] = None,
-    rows: Optional[List[Tuple[str, ObjectType, bytes]]] = None,
+    rows: Optional[Callable[[Tuple[str, ObjectType, bytes]], Any]] = None,
 ) -> Tuple[ObjectType, bytes]:
     """The object type and raw id of a filesystem node.
 
     trees and contents, if given, keep the directories and the contents
-    reached. rows, if given, receives (root-relative path, type, raw id)
-    for every node, children before parents; the root's path is "".
+    reached. rows, if given, is called with each node's (root-relative path,
+    type, raw id) once it is done, children before parents; the root's is "".
     """
     mode = _lstat_root(path).st_mode
     # Absolute, so the store still finds its files after a chdir.
@@ -371,7 +371,7 @@ def _walk(
         kind = _LINK if stat.S_ISLNK(mode) else _FILE if stat.S_ISREG(mode) else _OTHER
         _, raw = _leaf(root, None, root, kind, contents)
         if rows is not None:
-            rows.append(("", ObjectType.CONTENT, raw))
+            rows(("", ObjectType.CONTENT, raw))
         return ObjectType.CONTENT, raw
     # One regex for all patterns, each anchored as fnmatchcase anchors it.
     excluded = excludes and re.compile("|".join(map(fnmatch.translate, excludes))).match
@@ -408,7 +408,7 @@ def _walk(
                     break
                 token, raw = _leaf(name, fd, prefix + name, kind, contents)
                 if rows is not None:
-                    rows.append((rel + name, ObjectType.CONTENT, raw))
+                    rows((rel + name, ObjectType.CONTENT, raw))
                 done.append((os.fsencode(name), token, raw))
             else:
                 body = tree_body(done)
@@ -417,7 +417,7 @@ def _walk(
                 if trees is not None:
                     trees._insert(ObjectType.DIRECTORY, raw, manifest)
                 if rows is not None:
-                    rows.append((rel[:-1], ObjectType.DIRECTORY, raw))
+                    rows((rel[:-1], ObjectType.DIRECTORY, raw))
                 if len(frames) == 1:
                     break
                 parent = frames[-2]
@@ -460,8 +460,8 @@ def ingest_path(
     """
     if store is None:
         store = ObjectStore()
-    rows = None if collect is None else []
-    object_type, raw = _walk(path, excludes, store, store, rows)
+    rows: list = []
+    object_type, raw = _walk(path, excludes, store, store, None if collect is None else rows.append)
     if collect is not None:
         collect.extend((rel, CoreSwhid(t, ObjectId(r))) for rel, t, r in rows)
     return CoreSwhid(object_type, ObjectId(raw)), store
