@@ -27,7 +27,7 @@ import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -147,7 +147,7 @@ def compare(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
     return count, differences
 
 
-def main(argv: Sequence[str] = ()) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     side = parser.add_mutually_exclusive_group(required=True)
     side.add_argument("--rev", help="the git revision to compare with")
@@ -167,4 +167,4 @@ def main(argv: Sequence[str] = ()) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
