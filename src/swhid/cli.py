@@ -44,14 +44,14 @@ def identify(args: argparse.Namespace) -> None:
     """Compute identifiers for filesystem paths."""
     from .ingest import _walk
 
-    # Only each row's bytes are kept, encoded as _write encodes text, and they
-    # go out in one write at the end, so an error leaves stdout empty.
+    # Only each row's bytes (encoded as _write encodes text) are kept, and one write
+    # at the end sends them, so an error leaves stdout empty. --jobs changes nothing.
     encoding, errors = sys.getfilesystemencoding(), sys.getfilesystemencodeerrors()
     out = bytearray(b"[\n" if args.as_json else b"")
     if args.as_json:
         from json.encoder import encode_basestring_ascii
 
-    def row(node: tuple) -> None:  # a node of the path being walked
+    def row(node: tuple) -> None:  # reads path and prefix as the loop below sets them
         rel, object_type, raw = node
         name = prefix + rel if rel else path
         swhid = f"swh:{SCHEMA_VERSION}:{object_type.value}:{raw.hex()}"

@@ -1,13 +1,11 @@
 """Compare `swhid identify` children of this checkout with another revision's.
 
     python tests/differential.py --rev REV [--seeds 1,2]
-    python tests/differential.py --src DIR [--seeds 1,2]
 
 --rev extracts src/swhid at REV with `git archive` into a temporary
-directory; --src names a directory that already holds a swhid package (a
-copy of a src/ directory, so no .git is needed). Each case runs
-`python -m swhid.cli identify ...` once with PYTHONPATH set to each side's
-src, and compares (exit code, stdout bytes, stderr).
+directory. Each case runs `python -m swhid.cli identify ...` once with
+PYTHONPATH set to each side's src, and compares (exit code, stdout bytes,
+stderr).
 
 The inputs are perfbench's seeded tree-many-small trees, one per seed
 (--seeds "" for none), and a small tree with names that are not UTF-8 or
@@ -45,7 +43,9 @@ def extract(rev: str, into: Path) -> Path:
         capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into, filter="data")
+        # The filter keyword exists from Python 3.10.12 and 3.11.4 on.
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(into, **safe)
     return into / "src"
 
 
@@ -149,17 +149,12 @@ def compare(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    side = parser.add_mutually_exclusive_group(required=True)
-    side.add_argument("--rev", help="the git revision to compare with")
-    side.add_argument(
-        "--src", type=Path, help="a directory holding the swhid package to compare with"
-    )
+    parser.add_argument("--rev", required=True, help="the git revision to compare with")
     parser.add_argument("--seeds", default="1", help="comma-separated tree seeds (default: 1)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     with tempfile.TemporaryDirectory() as scratch:
-        parent_src = args.src if args.rev is None else extract(args.rev, Path(scratch))
-        count, differences = compare(parent_src, seeds)
+        count, differences = compare(extract(args.rev, Path(scratch)), seeds)
     print(f"{count} identify cases compared, {len(differences)} differences")
     for difference in differences[:5]:
         print(difference)
