@@ -24,7 +24,7 @@ from swhid.cli import ExitStatus, main
 from swhid.ingest import ingest_path
 from swhid.model import Content, content_id, swhid_of
 
-from conftest import MockArchive
+from mockarchive import TLS_CERT, MockArchive
 
 GPL3_ID = "swh:1:cnt:94a9ed024d3859793618152ea559a168bbcbb5e2"
 
@@ -869,6 +869,59 @@ def test_resolve_tunnels_https_through_proxy(archive):
     )
     assert archive.tunnels == ["archive.invalid:443"] * 3
     assert archive.proxy_auth == [BASIC] * 3
+
+
+# Backoff waits are no output of a command; a child run through this skips them.
+_WITHOUT_BACKOFF = "import time; time.sleep = lambda s: None\nfrom swhid.cli import main\nmain()"
+
+
+@pytest.fixture
+def https_archive(monkeypatch):
+    # Only SSL_CERT_FILE, where a test sets it, may make a child trust the archive.
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    server = MockArchive(https=True)
+    yield server
+    server.close()
+
+
+def _fetch_over_tls(archive, out, endpoint, **env):
+    swhid = archive.add_content(b"over tls\n")
+    args = ["resolve", "--check", "--fetch", str(out), "--endpoint", endpoint, str(swhid)]
+    return _cli_child(args, python=("-c", _WITHOUT_BACKOFF), **env)
+
+
+def test_resolve_fetches_over_tls_from_a_trusted_archive(https_archive, tmp_path):
+    out = tmp_path / "fetched.bin"
+    endpoint = https_archive.endpoint
+    assert endpoint.startswith("https://127.0.0.1:")
+    child = _fetch_over_tls(https_archive, out, endpoint, SSL_CERT_FILE=str(TLS_CERT))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[1:] == [
+        "known to archive (type confirmed)",
+        f"wrote 9 verified bytes to {out}",
+    ]
+    assert out.read_bytes() == b"over tls\n"
+    assert https_archive.resolve_requests == https_archive.raw_requests == 1
+
+
+def test_resolve_refuses_an_untrusted_certificate(https_archive, tmp_path):
+    out = tmp_path / "fetched.bin"
+    child = _fetch_over_tls(https_archive, out, https_archive.endpoint)
+    assert child.returncode == ExitStatus.IO_ERROR, child.stderr
+    assert "certificate verify failed" in child.stderr
+    assert "Traceback" not in child.stderr
+    assert https_archive.resolve_requests == 0 and not out.exists()
+
+
+def test_resolve_refuses_a_certificate_for_another_host(https_archive, tmp_path):
+    out = tmp_path / "fetched.bin"
+    endpoint = https_archive.endpoint.replace("127.0.0.1", "localhost")
+    child = _fetch_over_tls(https_archive, out, endpoint, SSL_CERT_FILE=str(TLS_CERT))
+    assert child.returncode == ExitStatus.IO_ERROR, child.stderr
+    assert "certificate verify failed: Hostname mismatch" in child.stderr
+    assert "'localhost'" in child.stderr
+    assert https_archive.resolve_requests == 0 and not out.exists()
 
 
 def test_resolve_child_closes_pooled_connections_at_exit(

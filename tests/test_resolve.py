@@ -2,13 +2,16 @@ import functools
 import json
 import logging
 import os
+import socket
 import sys
 import threading
 import tracemalloc
 
 import pytest
 from clirunner import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
+import swhid.transport
 from swhid.cli import main
 from swhid.errors import (
     IntegrityMismatchError,
@@ -16,6 +19,7 @@ from swhid.errors import (
     TransportError,
     TypeContradictionError,
 )
+from swhid.model import Content, swhid_of
 from swhid.resolve import (
     ResolverConfig,
     ResolverKind,
@@ -24,6 +28,7 @@ from swhid.resolve import (
     resolver_url,
 )
 from swhid.syntax import parse
+from swhid.transport import get
 
 CNT = "swh:1:cnt:94a9ed024d3859793618152ea559a168bbcbb5e2"
 QUALIFIED = (
@@ -221,6 +226,38 @@ def test_malformed_endpoint_exits_3_without_traceback(endpoint, monkeypatch):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("swhid: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "where, char",
+    [
+        ("path", " "),
+        ("path", "\x00"),
+        ("path", "\x7f"),
+        ("query", "\x1b"),
+        ("query", " "),
+        ("host", "\x01"),
+        ("host", " "),
+        ("host", "\x7f"),
+    ],
+)
+def test_control_characters_never_reach_the_request_line(archive, where, char):
+    # The request is refused before a connection opens, with http.client's words.
+    host, port = archive.endpoint[len("http://") :].split(":")
+    url = {
+        "path": f"http://{host}:{port}/api/1/a{char}b/",
+        "query": f"http://{host}:{port}/api/1/x/?a{char}b",
+        "host": f"http://{host}{char}x:{port}/api/1/x/",
+    }[where]
+    part = {"path": "/api/1/a{}b/", "query": "/api/1/x/?a{}b", "host": host + "{}x"}[where]
+    part = part.format(char)
+    with pytest.raises(TransportError) as excinfo:
+        get(url, 2.0, 0, 0.0, lambda _: None)
+    assert str(excinfo.value) == (
+        f"GET {url}: URL can't contain control characters."
+        f" {part!r} (found at least {char!r})"
+    )
+    assert archive.connections == 0
 
 
 def test_fetch_follows_redirect_and_verifies(archive, gpl3_bytes):
@@ -509,3 +546,142 @@ def test_retries_are_logged(archive, caplog):
         ("swhid", logging.INFO, f"GET {url}: HTTP 500; attempt 2 of 3 in 0.5 s"),
         ("swhid", logging.INFO, f"GET {url}: HTTP 500; attempt 3 of 3 in 1 s"),
     ]
+
+
+# ROADMAP item 8's archive-responses surface: a scripted server answers every
+# request with one generated response; verified bytes or one of three errors
+# must come out, never another exception or a wrong body.
+SCRIPTED = b"scripted content\n"
+SCRIPTED_ID = swhid_of(Content(SCRIPTED))
+SCRIPTED_PAYLOAD = json.dumps(
+    {"object_type": "content", "object_id": SCRIPTED_ID.object_id.hex}
+).encode()
+
+
+class _Scripted:
+    """A raw-socket server: each connection gets render(true body, base URL), then EOF."""
+
+    def __init__(self, render):
+        self.render = render
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = "http://127.0.0.1:%d" % self.sock.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:  # closed
+                return
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    data = conn.recv(65536)
+                    if not data:
+                        break
+                    request += data
+                path = request.split(b" ", 2)[1] if request.count(b" ") >= 2 else b""
+                body = SCRIPTED_PAYLOAD if path.startswith(b"/api/1/resolve/") else SCRIPTED
+                try:
+                    conn.sendall(self.render(body, self.endpoint))
+                    conn.shutdown(socket.SHUT_WR)
+                except OSError:  # the client hung up first
+                    pass
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+        self.thread.join(timeout=5)
+        swhid.transport._close_idle()
+
+
+_STATUS_LINES = {
+    "valid": "HTTP/1.1 {code} Reason",
+    "http/1.0": "HTTP/1.0 {code} Reason",
+    "unknown version": "HTTP/2.0 {code} Reason",
+    "bad code": "HTTP/1.1 2x0 Reason",
+    "short code": "HTTP/1.1 99 Reason",
+    "no reason": "HTTP/1.1 {code}",
+    "over 64 KiB": "HTTP/1.1 {code} " + "x" * 65536,
+}
+_LENGTHS = ("true", "short", "long", "absent", "non-digit", "two values")
+_CHUNKS = (None, "good", "non-hex", "negative", "truncated")
+_BODIES = ("equal", "altered", "truncated")
+_LOCATIONS = (
+    None,
+    "/api/1/content/sha1_git:%s/raw/" % SCRIPTED_ID.object_id.hex,
+    "{base}/api/1/resolve/%s/" % SCRIPTED_ID,
+    "ftp://127.0.0.1/x",
+    "http:///no-host",
+)
+
+
+def _response(status, code, continued, length, chunks, close, pad, location, mutation):
+    def render(body: bytes, base: str) -> bytes:
+        if mutation == "altered":
+            body = bytes([body[0] ^ 0xFF]) + body[1:]
+        elif mutation == "truncated":
+            body = body[: len(body) // 2]
+        headers = [_STATUS_LINES[status].format(code=code)]
+        headers += [f"X-Pad-{i}: {i}" for i in range(101 if pad else 0)]
+        declared = {"true": len(body), "short": len(body) - 3, "long": len(body) + 5}
+        if length in declared:
+            headers.append(f"Content-Length: {declared[length]}")
+        elif length == "non-digit":
+            headers.append("Content-Length: 1e3")
+        elif length == "two values":
+            headers += [f"Content-Length: {len(body)}", f"Content-Length: {len(body) + 7}"]
+        if close:
+            headers.append("Connection: close")
+        if location is not None:
+            headers.append("Location: " + location.format(base=base))
+        payload = body
+        if chunks is not None:
+            headers.append("Transfer-Encoding: chunked")
+            size = {"good": b"%x", "non-hex": b"zz", "negative": b"-%x"}.get(chunks, b"%x")
+            half = len(body) // 2
+            payload = b"".join(
+                (size % len(part) if b"%" in size else size) + b"\r\n" + part + b"\r\n"
+                for part in (body[:half], body[half:])
+            ) + b"0\r\n\r\n"
+            if chunks == "truncated":
+                payload = payload[: len(payload) // 2]
+        head = "".join(line + "\r\n" for line in headers) + "\r\n"
+        preamble = b"HTTP/1.1 100 Continue\r\n\r\n" if continued else b""
+        return preamble + head.encode("latin-1") + payload
+
+    return render
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    status=st.sampled_from(sorted(_STATUS_LINES)),
+    code=st.sampled_from([200, 200, 204, 302, 404, 500]),
+    continued=st.booleans(),
+    length=st.sampled_from(_LENGTHS),
+    chunks=st.sampled_from(_CHUNKS),
+    close=st.booleans(),
+    pad=st.booleans(),
+    location=st.sampled_from(_LOCATIONS),
+    mutation=st.sampled_from(_BODIES),
+)
+def test_hostile_response_gives_verified_bytes_or_an_archive_error(**script):
+    server = _Scripted(_response(**script))
+    archive_errors = (TransportError, NotFoundInArchiveError, IntegrityMismatchError)
+    calls = {"timeout": 2.0, "retries": 0, "sleep": lambda _: None}
+    try:
+        try:
+            data = fetch_content_verified(SCRIPTED_ID, server.endpoint, **calls)
+        except archive_errors:
+            pass
+        else:
+            assert data == SCRIPTED
+        try:
+            metadata = resolve_metadata(SCRIPTED_ID, server.endpoint, **calls)
+        except archive_errors:
+            pass
+        else:
+            assert (metadata.swhid, metadata.object_type_confirmed) == (SCRIPTED_ID, True)
+    finally:
+        server.close()
