@@ -25,13 +25,26 @@ _RESOLVERS = ("archive-web", "archive-api", "identifiers-org", "n2t")
 
 
 def _write(data: Union[str, bytes, bytearray]) -> None:
-    """Write data to stdout in one call; text is encoded by os.fsencode.
+    """Write all of data to stdout, and flush it; text is encoded by os.fsencode.
 
     That is the filesystem encoding with errors="surrogateescape", the
     inverse of how names were read, so a name that is not UTF-8 comes out
-    as its own bytes whatever errors setting stdout has.
+    as its own bytes whatever errors setting stdout has. A raw stdout
+    (PYTHONUNBUFFERED) may take part of the data, and a non-blocking one
+    none: the rest goes out once select says the fd takes more.
     """
-    sys.stdout.buffer.write(os.fsencode(data) if isinstance(data, str) else data)
+    out = sys.stdout.buffer
+    view = memoryview(os.fsencode(data) if isinstance(data, str) else data)
+    while True:
+        try:
+            view = view[out.write(view) or 0 :]
+            if not view:
+                return out.flush()
+        except BlockingIOError as exc:
+            view = view[exc.characters_written :]
+        import select
+
+        select.select((), (out,), ())
 
 
 def _write_json(value) -> None:

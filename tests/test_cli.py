@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -1448,6 +1449,38 @@ def test_contract_child_closed_stdout_exits_1_quietly(tmp_path):
         os.close(write_end)
     assert child.returncode == 1
     assert child.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["raw-stdout", "buffered-stdout"])
+def test_contract_child_writes_all_of_its_output_to_a_non_blocking_pipe(
+    runner, tmp_path, monkeypatch, unbuffered
+):
+    # Four pipe buffers of rows: the child must wait for a reader that starts late.
+    for i in range(1000):
+        (tmp_path / ("%04d" % i + "x" * 200)).write_bytes(b"%d\n" % i)
+    args = ["identify", "--recursive", "--json", str(tmp_path)]
+    expected = runner.invoke(main, args).stdout_bytes
+    assert len(expected) > 4 * 65536
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "swhid.cli", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(Path(swhid.__file__).parents[1]), **env),
+            )
+        finally:
+            os.close(write_end)
+        time.sleep(0.5)
+        output = reader.read()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), stderr) == (0, b"")
+    assert output == expected
 
 
 @pytest.mark.parametrize("stdout_encoding", [None, "utf-8:strict"])
