@@ -29,9 +29,8 @@ def _write(data: Union[str, bytes, bytearray]) -> None:
 
     That is the filesystem encoding with errors="surrogateescape", the
     inverse of how names were read, so a name that is not UTF-8 comes out
-    as its own bytes whatever errors setting stdout has. A raw stdout
-    (PYTHONUNBUFFERED) may take part of the data, and a non-blocking one
-    none: the rest goes out once select says the fd takes more.
+    as its own bytes whatever errors setting stdout has. What a raw or
+    non-blocking stdout does not take at once goes when select says it can.
     """
     out = sys.stdout.buffer
     view = memoryview(os.fsencode(data) if isinstance(data, str) else data)
@@ -372,8 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> NoReturn:
     """Run the command line on argv (default sys.argv[1:]) and exit with its status."""
     args = _parser().parse_args(argv)
     try:
-        status = args.run(args)
-        sys.stdout.flush()
+        status = args.run(args)  # each write is flushed
     except SwhidError as exc:
         print(f"swhid: {exc}", file=sys.stderr)
         sys.exit(exc.exit_status)

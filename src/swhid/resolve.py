@@ -125,8 +125,7 @@ def resolve_metadata(
     base = (endpoint or config.archive_url).rstrip("/")
     url = base + config.resolve_path.format(swhid=core)
     # Imported here: identify, verify and parse never touch the network,
-    # and loading the GET path and http.client would add ~30 ms to their
-    # start-up.
+    # and loading the GET path would add ~5 ms to their start-up.
     from .transport import get
 
     body = get(url, timeout, retries, backoff, sleep, _METADATA_LIMIT)

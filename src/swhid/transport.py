@@ -1,4 +1,4 @@
-"""The one GET path to the archive, on http.client.
+"""The one GET path to the archive: HTTP/1.1 on sockets, framed as http.client frames it.
 
 Only http and https URLs are opened, redirects included; bodies are read
 within a bound; transport errors and 5xx are retried with backoff; and
@@ -10,21 +10,29 @@ from __future__ import annotations
 import atexit
 import base64
 import functools
+import io
 import os
+import re
+import socket
 import sys
 import threading
-from string import punctuation
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from string import hexdigits, punctuation
 from typing import Callable, Optional, Tuple
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from .errors import NotFoundInArchiveError, TransportError
 
 _SCHEMES = ("http", "https")
+_PORTS = {"http": 80, "https": 443}
 # urlopen's redirect rules: at most 10 hops, and at most 4 to one URL.
 _REDIRECTS = (301, 302, 303, 307, 308)
 _MAX_HOPS = 10
 _MAX_REPEATS = 4
+# http.client's bounds on a line and on the lines of a header block, and
+# its test for characters that could break the request line.
+_MAXLINE = 65536
+_MAXHEADERS = 100
+_UNSAFE = re.compile("[\x00-\x20\x7f]").search
 
 
 # At most one idle keep-alive connection per route, (scheme, host, port,
@@ -80,8 +88,7 @@ def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, Optional[str]]]
     Outside macOS and Windows, whose system settings can name a proxy too,
     urllib takes proxies from the environment alone, and only from a
     non-empty variable named <scheme>_proxy in any case. Without one,
-    urllib.request, which costs more to import than http.client, is not
-    loaded.
+    urllib.request, which is slow to import, is not loaded.
     """
     if sys.platform != "darwin" and os.name != "nt":
         variable = f"{scheme}_proxy"
@@ -102,94 +109,189 @@ def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, Optional[str]]]
     return parts.scheme, unquote(parts.netloc.rpartition("@")[2]), auth
 
 
-def _connect(route, timeout: float):
-    """An unconnected HTTP(S)Connection for route.
+class _Socket(io.RawIOBase):
+    """A socket as the raw stream under a connection's one reader; tell() counts bytes received."""
 
-    Through a proxy, https is tunnelled with CONNECT and TLS still checks
-    the target host; http goes to the proxy itself.
+    def __init__(self, sock: socket.socket):
+        self.sock, self.received = sock, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self.received += (count := self.sock.recv_into(buffer))
+        return count
+
+    def tell(self) -> int:
+        return self.received
+
+    def close(self) -> None:
+        super().close()
+        self.sock.close()
+
+
+def _head(conn: io.BufferedReader):
+    """(status, reason, Location, chunked, length, close), read as http.client reads them."""
+    code = "100"
+    while int(code) == 100:  # a status line and its fields, up to a blank line
+        lines = []
+        while not lines or lines[-1] not in (b"\r\n", b"\n", b""):
+            lines.append(conn.readline(_MAXLINE + 1))
+            if len(lines[-1]) > _MAXLINE:
+                what = "header" if len(lines) > 1 else "status"
+                raise ValueError(f"got more than {_MAXLINE} bytes when reading {what} line")
+            if len(lines) > _MAXHEADERS + 1:
+                raise ValueError(f"got more than {_MAXHEADERS} headers")
+        line = lines[0].decode("iso-8859-1")
+        if not line:  # a ConnectionError: a pooled connection sends its request again
+            raise ConnectionResetError("Remote end closed connection without response")
+        version, code, reason = (line.split(None, 2) + ["", "", ""])[:3]
+        if not (version.startswith("HTTP/") and code.isdecimal() and 99 < int(code) < 1000):
+            raise ValueError(line)
+    fields = {}  # the first field of a name counts
+    for line in lines[1:]:
+        name, _, value = line.decode("iso-8859-1").partition(":")
+        fields.setdefault(name.lower(), value.lstrip(" \t").rstrip("\r\n"))
+    status, connection = int(code), fields.get("connection", "").lower()
+    chunked = fields.get("transfer-encoding", "").lower() == "chunked"
+    length = fields.get("content-length", "")
+    length = int(length) if length.isdecimal() and not chunked else None  # None: to the end
+    length = 0 if status in (204, 304) or status < 200 else length
+    if version in ("HTTP/1.0", "HTTP/0.9"):  # kept alive only where the server says so
+        connection += " " + fields.get("proxy-connection", "").lower()
+        close = not fields.get("keep-alive") and "keep-alive" not in connection
+    elif version.startswith("HTTP/1."):
+        close = "close" in connection
+    else:
+        raise ValueError(version)
+    close = close or not chunked and length is None  # http.client's will_close
+    return status, reason.strip(), fields.get("location", fields.get("uri")), chunked, length, close
+
+
+def _body(conn: io.BufferedReader, chunked: bool, length: Optional[int], limit: Optional[int]):
+    """The body, or None over limit bytes (refused unread if declared); a short body raises."""
+    parts, size = [], 0
+    while chunked:
+        line = conn.readline(_MAXLINE + 1).split(b";", 1)[0].strip()
+        chunk = int(line, 16) if line and not line.strip(hexdigits.encode()) else -1
+        if chunk == 0:  # the last chunk; its trailer lines are dropped
+            while conn.readline(_MAXLINE + 1) not in (b"\r\n", b"\n", b""):
+                pass
+            return b"".join(parts)
+        if limit is not None and size + chunk > limit:
+            return None
+        parts.append(conn.read(max(chunk, 0)))
+        if chunk < 0 or len(parts[-1]) < chunk or len(conn.read(2)) < 2:  # the chunk, its CRLF
+            raise ValueError(f"IncompleteRead({size} bytes read)")
+        size += chunk
+    if length is None:
+        body = conn.read(-1 if limit is None else limit + 1)
+        return body if limit is None or len(body) <= limit else None
+    if limit is not None and length > limit:
+        return None
+    body = conn.read(length)
+    if missing := length - len(body):
+        raise ValueError(f"IncompleteRead({len(body)} bytes read, {missing} more expected)")
+    return body
+
+
+@functools.lru_cache(maxsize=None)
+def _tls():  # ssl is loaded for https only; one default context checks certificates and hosts
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def _connect(route, timeout: float) -> io.BufferedReader:
+    """A new connection for route: through a proxy, https is tunnelled with CONNECT and
+    TLS still checks the target host; http goes to the proxy, over TLS to an https one.
     """
     scheme, host, port, proxy = route
-    if proxy is None:
-        cls = HTTPSConnection if scheme == "https" else HTTPConnection
-        return cls(host, port, timeout=timeout)
-    proxy_scheme, proxy_host, auth = proxy
-    if scheme == "https":
-        conn = HTTPSConnection(proxy_host, timeout=timeout)
-        conn.set_tunnel(host, port, {"Proxy-Authorization": auth} if auth else None)
-        return conn
-    cls = HTTPSConnection if proxy_scheme == "https" else HTTPConnection
-    return cls(proxy_host, timeout=timeout)
+    address, tls = (host, port or _PORTS[scheme]), host if scheme == "https" else None
+    if proxy is not None:  # its port defaults as in http.client
+        at = urlsplit("//" + proxy[1])
+        address = (at.hostname, at.port or (443 if "https" in (scheme, proxy[0]) else 80))
+        tls = tls or (at.hostname if proxy[0] == "https" else None)
+    sock = socket.create_connection(address, timeout)
+    conn = io.BufferedReader(_Socket(sock), _MAXLINE)
+    try:
+        if proxy is not None and scheme == "https":
+            auth = f"Proxy-Authorization: {proxy[2]}\r\n" if proxy[2] else ""
+            sock.sendall(f"CONNECT {host}:{port or 443} HTTP/1.0\r\n{auth}\r\n".encode("ascii"))
+            status, reason, *_ = _head(conn)
+            if status != 200:
+                raise OSError(f"Tunnel connection failed: {status} {reason}")
+        if tls is not None:  # the plain reader goes, with anything it held
+            sock = _tls().wrap_socket(sock, server_hostname=tls)
+            conn = io.BufferedReader(_Socket(sock), _MAXLINE)
+    except BaseException:
+        conn.close()
+        raise
+    return conn
 
 
 def _exchange(url: str, timeout: float, limit: Optional[int]):
-    """GET url once, without following a redirect.
+    """GET url once, without following a redirect: (status, Location header, body).
 
-    Returns (status, Location header, body); the body is read for a 2xx
-    only, and is None when it is over limit bytes. The connection goes
-    back to the pool only after a 2xx whose body was read to its end, and
-    only if the server keeps it open; any other outcome closes it. A
-    pooled connection that the server closed while it was idle fails
-    before any response byte arrives: the request is then sent once more
-    on a fresh connection.
+    The body is read for a 2xx only, and is None when it is over limit bytes.
+    A URL part with a space or a control character fails before any connection
+    opens. Only a 2xx read to its end, with no byte after it, from a server that
+    keeps it open, gives the connection back to the pool. A pooled connection
+    the server closed while idle fails at once, and the request is sent again.
     """
     parts = urlsplit(url)
-    proxy = _proxy(parts.scheme, parts.netloc)
-    route = (parts.scheme, parts.hostname, parts.port, proxy)
+    scheme, hostname, port = parts.scheme, parts.hostname, parts.port
+    proxy = _proxy(scheme, parts.netloc)
+    route = (scheme, hostname, port, proxy)
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    headers = {"User-Agent": "swhid"}
-    if proxy is not None and parts.scheme == "http":
-        target = f"http://{parts.netloc}{target}"  # absolute form
-        if proxy[2]:
-            headers["Proxy-Authorization"] = proxy[2]
-    conn = _take(route)
-    while True:
-        reused = conn is not None
-        if reused:
-            conn.sock.settimeout(timeout)
-        else:
-            conn = _connect(route, timeout)
-        try:
-            conn.request("GET", target, headers=headers)
-            response = conn.getresponse()
-            break
-        except ConnectionError as exc:
-            conn.close()
-            if not reused:
-                raise
-            import logging
+    host = f"[{hostname}]" if ":" in hostname else hostname
+    host += "" if port in (None, _PORTS[scheme]) else f":{port}"
+    auth = ""
+    if proxy is not None and scheme == "http":  # absolute form, to the proxy
+        target, host = f"http://{parts.netloc}{target}", parts.netloc
+        auth = f"Proxy-Authorization: {proxy[2]}\r\n" if proxy[2] else ""
+    for part in (hostname if proxy is None else proxy[1], target, hostname):
+        if found := _UNSAFE(part):
+            found = f"{part!r} (found at least {found.group()!r})"
+            raise ValueError(f"URL can't contain control characters. {found}")
+    host = host if host.isascii() else host.encode("idna").decode("ascii")
+    request = f"GET {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+    request = (request + f"User-Agent: swhid\r\n{auth}\r\n").encode("ascii")
+    conn, keep = _take(route), False
+    try:
+        while True:
+            reused = conn is not None
+            conn = conn if reused else _connect(route, timeout)
+            conn.raw.sock.settimeout(timeout)
+            try:
+                conn.raw.sock.sendall(request)
+                status, _, location, chunked, length, close = _head(conn)
+                break
+            except ConnectionError as exc:
+                if not reused:
+                    raise
+                conn.close()
+                conn = None
+                import logging
 
-            logging.getLogger("swhid").debug(
-                "GET %s: pooled connection was closed (%s); opening another",
-                url,
-                exc,
-            )
-            conn = None
-        except BaseException:
+                message = "GET %s: pooled connection was closed (%s); opening another"
+                logging.getLogger("swhid").debug(message, url, exc)
+        body = _body(conn, chunked, length, limit) if 200 <= status < 300 else None
+        keep = body is not None and not close and conn.tell() == conn.raw.received
+    finally:
+        if keep:
+            _give(route, conn)
+        elif conn is not None:
             conn.close()
-            raise
-    with response:
-        try:
-            status = response.status
-            location = response.headers.get(
-                "Location", response.headers.get("URI")
-            )
-            body = _read(response, limit) if 200 <= status < 300 else None
-        except BaseException:
-            conn.close()
-            raise
-    if body is not None and response.isclosed() and not response.will_close:
-        _give(route, conn)
-    else:
-        conn.close()
     return status, location, body
 
 
 def _follow(url: str, timeout: float, limit: Optional[int]):
     """GET url, following redirects as urlopen does: (status, body).
 
-    A redirect off http(s), past the hop limit or without a Location is
-    returned as its 3xx status. Its body is dropped unread: a hostile
-    one need not end.
+    A redirect off http(s) or to no host, past the hop limit or without a
+    Location is returned as its 3xx status. Its body is dropped unread: a
+    hostile one need not end.
     """
     visited = {}
     while True:
@@ -202,28 +304,13 @@ def _follow(url: str, timeout: float, limit: Optional[int]):
         hop = urljoin(url, location)
         if (
             urlsplit(hop).scheme not in _SCHEMES
+            or not urlsplit(hop).hostname
             or len(visited) >= _MAX_HOPS
             or visited.get(hop, 0) >= _MAX_REPEATS
         ):
             return status, body
         visited[hop] = visited.get(hop, 0) + 1
         url = hop
-
-
-def _read(response, limit: Optional[int]) -> Optional[bytes]:
-    """The body of response, or None if it is longer than limit bytes.
-
-    At most limit + 1 bytes are read, and a declared length over the limit
-    is refused unread. A body shorter than its declared length raises
-    http.client.IncompleteRead.
-    """
-    length = response.length  # None unless the server sent Content-Length
-    if limit is None or (length is not None and length <= limit):
-        return response.read()
-    if length is not None:
-        return None
-    body = response.read(limit + 1)
-    return body if len(body) <= limit else None
 
 
 def get(
@@ -260,7 +347,7 @@ def get(
             sleep(delay)
         try:
             status, body = _follow(url, timeout, limit)
-        except (OSError, HTTPException, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             failure, cause = f"GET {url}: {exc}", exc
             continue
         if 200 <= status < 300:

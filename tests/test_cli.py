@@ -1340,19 +1340,22 @@ def test_parse_child_loads_neither_ingest_nor_transport():
 
 
 def test_resolve_fetch_child_does_not_load_ingest(archive, tmp_path):
-    # Writing the fetched file needs swhid._atomic, not the filesystem layer.
+    # Writing the fetched file needs swhid._atomic, not the filesystem layer,
+    # and a GET over http needs a socket: neither http.client with the email
+    # package it parses headers with, nor ssl, nor urllib.request.
     swhid = archive.add_content(b"payload\n")
     out = tmp_path / "out.bin"
+    unwanted = ("swhid.ingest", "http.client", "email", "ssl", "urllib.request")
     probe = (
         "import sys; from swhid.cli import main\n"
         "try: main(sys.argv[1:])\n"
         "except SystemExit as exc: print(exc.code)\n"
-        "print('swhid.ingest' in sys.modules)"
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
     )
-    args = ["resolve", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)]
+    args = ["resolve", "--check", "--fetch", str(out), "--endpoint", archive.endpoint, str(swhid)]
     child = _cli_child(args, python=("-c", probe))
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-2:] == ["None", "False"]
+    assert child.stdout.splitlines()[-2:] == ["None", "[]"]
     assert out.read_bytes() == b"payload\n"
 
 

@@ -614,6 +614,7 @@ _LOCATIONS = (
     "{base}/api/1/resolve/%s/" % SCRIPTED_ID,
     "ftp://127.0.0.1/x",
     "http:///no-host",
+    "http://:1/no-host",
 )
 
 
@@ -655,6 +656,17 @@ def _response(status, code, continued, length, chunks, close, pad, location, mut
 
 
 @settings(max_examples=60, deadline=None)
+@example(  # a redirect to a URL without a host once escaped get as a TypeError
+    status="valid",
+    code=302,
+    continued=False,
+    length="true",
+    chunks=None,
+    close=False,
+    pad=False,
+    location="http://:1/no-host",
+    mutation="equal",
+)
 @given(
     status=st.sampled_from(sorted(_STATUS_LINES)),
     code=st.sampled_from([200, 200, 204, 302, 404, 500]),
