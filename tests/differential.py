@@ -1,23 +1,33 @@
-"""Compare `swhid identify` children of this checkout with another revision's.
+"""Compare `swhid identify` and `swhid resolve` children of this checkout with another revision's.
 
     python tests/differential.py --rev REV [--seeds 1,2]
 
 --rev extracts src/swhid at REV with `git archive` into a temporary
-directory. Each case runs `python -m swhid.cli identify ...` once with
-PYTHONPATH set to each side's src, and compares (exit code, stdout bytes,
-stderr).
+directory. Each case runs one CLI child with PYTHONPATH set to each side's
+src, and compares exit code, stdout bytes and stderr.
 
-The inputs are perfbench's seeded tree-many-small trees, one per seed
-(--seeds "" for none), and a small tree with names that are not UTF-8 or
-that JSON escapes. The cases cover text and --json, --recursive,
+identify: the inputs are perfbench's seeded tree-many-small trees, one per
+seed (--seeds "" for none), and a small tree with names that are not UTF-8
+or that JSON escapes. The cases cover text and --json, --recursive,
 --exclude '*.tmp', two paths, file and symlink roots, and a last path that
-is missing or of the wrong --type. The script prints how many cases it
-compared and the first differences, and exits 1 if there is any.
+is missing or of the wrong --type.
+
+resolve: `resolve --check --fetch FILE [--json]` against one MockArchive
+(tests/mockarchive.py) that is ok, lacks the id, corrupts it, fails with
+500s first, redirects, cuts the body short, serves oversized or non-JSON
+metadata, or serves as the http proxy, or refuses the CONNECT of an https
+one. The sides run one after the other, each on the same archive state,
+and the fetched file's bytes are compared too. Backoff waits are skipped
+in both children: they are no output.
+
+The script prints how many cases it compared per surface and the first
+differences, and exits 1 if there is any.
 """
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -25,14 +35,20 @@ import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids
 import gen  # noqa: E402
+from mockarchive import MockArchive  # noqa: E402
 
 Outcome = Tuple[int, bytes, bytes]
 EXCLUDE = ["--exclude", "*.tmp"]
+FETCHED = "fetched.bin"
+# The archive settings the resolve cases change, restored before each child.
+SETTINGS = ("corrupt_every", "fail_raw", "fail_resolve", "redirect_to", "resolve_body", "short_by")
+WITHOUT_BACKOFF = "import time; time.sleep = lambda s: None\nfrom swhid.cli import main\nmain()"
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -95,8 +111,14 @@ def cases(root: str, file: str, link: str) -> Iterator[List[str]]:
     yield ["--type", "cnt", "--json", file, root]
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a child of src: PYTHONPATH set, and no *_proxy variables."""
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    return dict(env, PYTHONPATH=str(src))
+
+
 def run(src: Path, args: Sequence[str], cwd: Path) -> Outcome:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = child_env(src)
     child = subprocess.run(
         [sys.executable, "-m", "swhid.cli", "identify", *args],
         cwd=cwd,
@@ -105,6 +127,47 @@ def run(src: Path, args: Sequence[str], cwd: Path) -> Outcome:
         timeout=300,
     )
     return child.returncode, child.stdout, child.stderr
+
+
+def resolve_cases(archive: MockArchive) -> Iterator[Tuple[str, List[str], dict, dict]]:
+    """(name, resolve's arguments, *_proxy variables, archive settings) of each resolve case."""
+    known = str(archive.add_content(b"the payload\n"))
+    unknown = "swh:1:cnt:" + "0" * 40
+    payload = json.dumps(archive.metadata[known]).encode()
+    base = archive.endpoint
+    fetch = ["--check", "--fetch", FETCHED, "--endpoint", base]
+    yield "ok", [*fetch, known], {}, {}
+    yield "ok --json", ["--json", *fetch, known], {}, {}
+    yield "unknown", [*fetch, unknown], {}, {}
+    yield "corrupted", [*fetch, known], {}, {"corrupt_every": 1}
+    yield "500s then ok", [*fetch, known], {}, {"fail_resolve": 1, "fail_raw": 2}
+    yield "redirect", [*fetch[:-1], base + "/old", known], {}, {"redirect_to": base}
+    yield "short body", [*fetch, known], {}, {"short_by": 10}
+    yield "short body --json", ["--json", *fetch, known], {}, {"short_by": 10}
+    oversized = payload + b" " * (1 << 20)
+    yield "oversized metadata", [*fetch, known], {}, {"resolve_body": oversized}
+    yield "non-JSON metadata", [*fetch, known], {}, {"resolve_body": b"<html>not json</html>"}
+    proxied = [*fetch[:-1], "http://archive.invalid", known]
+    yield "http proxy", proxied, {"http_proxy": base}, {}
+    tunnelled = ["--check", "--endpoint", "https://archive.invalid", known]
+    yield "refused CONNECT", tunnelled, {"https_proxy": base}, {}
+
+
+def run_resolve(src: Path, args: Sequence[str], proxies: dict, cwd: Path) -> Outcome:
+    """One resolve child's outcome, with the fetched file's bytes appended to its stdout."""
+    child = subprocess.run(
+        [sys.executable, "-c", WITHOUT_BACKOFF, "resolve", *args],
+        cwd=cwd,
+        env=dict(child_env(src), **proxies),
+        capture_output=True,
+        timeout=300,
+    )
+    fetched = cwd / FETCHED
+    stdout = child.stdout
+    if fetched.exists():
+        stdout += b"\n--- " + FETCHED.encode() + b" ---\n" + fetched.read_bytes()
+        fetched.unlink()
+    return child.returncode, stdout, child.stderr
 
 
 def _first_difference(name: str, ours: bytes, theirs: bytes) -> str:
@@ -118,13 +181,55 @@ def _first_difference(name: str, ours: bytes, theirs: bytes) -> str:
     )
 
 
-def compare(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
-    """(cases compared, a description of each difference), this checkout against parent_src."""
+def _differences(label: str, ours: Outcome, theirs: Outcome) -> List[str]:
+    if ours == theirs:
+        return []
+    lines = [f"{label}:"]
+    if ours[0] != theirs[0]:
+        lines.append(f"  exit code: parent {theirs[0]}, this {ours[0]}")
+    for name, i in (("stdout", 1), ("stderr", 2)):
+        if ours[i] != theirs[i]:
+            lines.append(_first_difference(name, ours[i], theirs[i]))
+    return ["\n".join(lines)]
+
+
+def compare_resolve(
+    parent_src: Path, cwd: Path, modes: Optional[Sequence[str]] = None
+) -> List[Tuple[str, Outcome, Outcome]]:
+    """(label, this side's outcome, the parent's) of the resolve cases named (all by default)."""
+    cwd.mkdir()
+    archive = MockArchive()
+    defaults = {name: getattr(archive, name) for name in SETTINGS}
+    results = []
+    try:
+        for name, args, proxies, state in resolve_cases(archive):
+            if modes is not None and name not in modes:
+                continue
+            outcomes = []
+            for src in (parent_src, ROOT / "src"):
+                for key, value in {**defaults, **state}.items():
+                    setattr(archive, key, value)
+                outcomes.append(run_resolve(src, args, proxies, cwd))
+            results.append((f"resolve {name}", outcomes[1], outcomes[0]))
+    finally:
+        archive.close()
+    return results
+
+
+def compare(
+    parent_src: Path, seeds: Sequence[int], modes: Optional[Sequence[str]] = None
+) -> Tuple[Dict[str, int], List[str]]:
+    """({surface: cases compared}, a description of each difference) against parent_src.
+
+    modes names the resolve cases to run; all of them by default.
+    """
     ours_src = ROOT / "src"
     differences: List[str] = []
-    count = 0
-    with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(2) as pool:
+    counts = {"identify": 0, "resolve": 0}
+    with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(3) as pool:
         work_dir = Path(work)
+        # One thread runs the resolve cases in turn, while two run identify's sides.
+        resolved = pool.submit(compare_resolve, parent_src, work_dir / "resolve", modes)
         odd_names_tree(work_dir / "odd")
         trees = [("odd", os.fsdecode(b"odd/caf\xe9.txt"), os.fsdecode(b"odd/link\xe9"))]
         for seed in seeds:
@@ -134,17 +239,12 @@ def compare(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
         for root, file, link in trees:
             for args in cases(root, file, link):
                 theirs, ours = pool.map(run, (parent_src, ours_src), [args] * 2, [work_dir] * 2)
-                count += 1
-                if ours == theirs:
-                    continue
-                lines = [f"identify {' '.join(args)!r}:"]
-                if ours[0] != theirs[0]:
-                    lines.append(f"  exit code: parent {theirs[0]}, this {ours[0]}")
-                for label, i in (("stdout", 1), ("stderr", 2)):
-                    if ours[i] != theirs[i]:
-                        lines.append(_first_difference(label, ours[i], theirs[i]))
-                differences.append("\n".join(lines))
-    return count, differences
+                counts["identify"] += 1
+                differences += _differences(f"identify {' '.join(args)!r}", ours, theirs)
+        for label, ours, theirs in resolved.result():
+            counts["resolve"] += 1
+            differences += _differences(label, ours, theirs)
+    return counts, differences
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -154,11 +254,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     with tempfile.TemporaryDirectory() as scratch:
-        count, differences = compare(extract(args.rev, Path(scratch)), seeds)
-    print(f"{count} identify cases compared, {len(differences)} differences")
+        counts, differences = compare(extract(args.rev, Path(scratch)), seeds)
+    compared = ", ".join(f"{n} {surface}" for surface, n in counts.items())
+    print(f"cases compared: {compared}; {len(differences)} differences")
     for difference in differences[:5]:
         print(difference)
-    return 1 if differences or not count else 0
+    return 1 if differences or not all(counts.values()) else 0
 
 
 if __name__ == "__main__":
