@@ -656,7 +656,7 @@ def _response(status, code, continued, length, chunks, close, pad, location, mut
 
 
 @settings(max_examples=60, deadline=None)
-@example(  # a redirect to a URL without a host once escaped get as a TypeError
+@example(  # a redirect to a URL without a host is not followed, and is no TypeError
     status="valid",
     code=302,
     continued=False,
