@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -1478,8 +1479,13 @@ def test_contract_child_writes_all_of_its_output_to_a_non_blocking_pipe(
             )
         finally:
             os.close(write_end)
-        time.sleep(0.5)
-        output = reader.read()
+        watchdog = threading.Timer(60, child.kill)  # a hung child must not hang the suite
+        watchdog.start()
+        try:
+            time.sleep(0.5)
+            output = reader.read()
+        finally:
+            watchdog.cancel()
     stderr = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=60), stderr) == (0, b"")

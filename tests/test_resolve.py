@@ -11,7 +11,6 @@ import pytest
 from clirunner import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-import swhid.transport
 from swhid.cli import main
 from swhid.errors import (
     IntegrityMismatchError,
@@ -28,7 +27,7 @@ from swhid.resolve import (
     resolver_url,
 )
 from swhid.syntax import parse
-from swhid.transport import get
+from swhid.transport import _close_idle, get
 
 CNT = "swh:1:cnt:94a9ed024d3859793618152ea559a168bbcbb5e2"
 QUALIFIED = (
@@ -593,7 +592,8 @@ class _Scripted:
         self.sock.shutdown(socket.SHUT_RDWR)
         self.sock.close()
         self.thread.join(timeout=5)
-        swhid.transport._close_idle()
+        _close_idle()
+        assert not self.thread.is_alive()
 
 
 _STATUS_LINES = {
