@@ -41,6 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids
 import gen  # noqa: E402
+from builders import write_tree  # noqa: E402
 from mockarchive import MockArchive  # noqa: E402
 
 Outcome = Tuple[int, bytes, bytes]
@@ -65,32 +66,26 @@ def extract(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def odd_names_tree(root: Path) -> None:
-    """A small tree of names that are not UTF-8, need JSON escapes, or are excluded."""
-    files = {
-        b"caf\xe9.txt": b"latin-1 name\n",
-        b"\xff\xfe": b"",
-        b'quote"d': b"q\n",
-        b"back\\slash": b"b\n",
-        b"tab\there": b"t\n",
-        b"new\nline": b"n\n",
-        "snow ☃ café".encode(): b"s\n",
-        b"d\xe9/inner.txt": b"inner\n",
-        b"d\xe9/run.sh": b"#!/bin/sh\n",
-        b"d\xe9/junk.tmp": b"junk",
-        b"only.tmp/x": b"dropped with its directory",
-        b"nested/a/b/c d": b"deep\n",
-    }
-    links = {b"link\xe9": b"caf\xe9.txt", b"d\xe9/up": b"../\xff\xfe", b"dangling": b"nowhere"}
-    base = os.fsencode(root)
-    for name, data in files.items():
-        path = os.path.join(base, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
-    os.chmod(os.path.join(base, b"d\xe9/run.sh"), 0o755)
-    for name, target in links.items():
-        os.symlink(target, os.path.join(base, name))
+# A small tree of names that are not UTF-8 or need JSON escapes; its flags add *.tmp junk.
+ODD_NAMES = ("dir", {
+    b"caf\xe9.txt": ("file", b"latin-1 name\n", False),
+    b"\xff\xfe": ("file", b"", False),
+    b'quote"d': ("file", b"q\n", False),
+    b"back\\slash": ("file", b"b\n", False),
+    b"tab\there": ("file", b"t\n", False),
+    b"new\nline": ("file", b"n\n", False),
+    "snow ☃ café".encode(): ("file", b"s\n", False),
+    b"d\xe9": ("dir", {
+        b"inner.txt": ("file", b"inner\n", False),
+        b"run.sh": ("file", b"#!/bin/sh\n", True),
+        b"up": ("link", b"../\xff\xfe"),
+    }, True),
+    b"nested": ("dir", {b"a": ("dir", {b"b": ("dir", {
+        b"c d": ("file", b"deep\n", False),
+    }, False)}, False)}, False),
+    b"link\xe9": ("link", b"caf\xe9.txt"),
+    b"dangling": ("link", b"nowhere"),
+}, True)
 
 
 def cases(root: str, file: str, link: str) -> Iterator[List[str]]:
@@ -230,7 +225,7 @@ def compare(
         work_dir = Path(work)
         # One thread runs the resolve cases in turn, while two run identify's sides.
         resolved = pool.submit(compare_resolve, parent_src, work_dir / "resolve", modes)
-        odd_names_tree(work_dir / "odd")
+        write_tree(os.fsencode(work_dir / "odd"), ODD_NAMES)
         trees = [("odd", os.fsdecode(b"odd/caf\xe9.txt"), os.fsdecode(b"odd/link\xe9"))]
         for seed in seeds:
             tree = gen.many_small_tree(seed, work_dir / f"seed{seed}")

@@ -1,7 +1,6 @@
 import base64
 import errno
 import functools
-import hashlib
 import importlib.metadata
 import json
 import os
@@ -14,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from builders import export_object, write_tree
 from clirunner import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -276,22 +276,6 @@ def _row_dirs(children):
     )
 
 
-def _build(path: bytes, node) -> None:
-    if node[0] == "file":
-        with open(path, "wb") as fh:
-            fh.write(node[1])
-        os.chmod(path, 0o755 if node[2] else 0o644)
-    elif node[0] == "link":
-        os.symlink(node[1], path)
-    else:
-        os.mkdir(path)
-        for name, child in node[1].items():
-            _build(os.path.join(path, name), child)
-        if node[2]:
-            _build(os.path.join(path, b"junk.tmp"), ("file", b"junk", False))
-            _build(os.path.join(path, b"cache.tmp"), ("dir", {b"x": ("file", b"", False)}, False))
-
-
 def _identify_reference(paths, excludes, recursive, as_json) -> bytes:
     """identify's stdout, built from ingest_path's collect rows and json.dumps."""
     rows = []
@@ -330,12 +314,12 @@ def test_identify_stdout_matches_ingest_path_rows(roots, exclude, tmp_path_facto
     paths, kinds = [], []
     for name, node, slash in roots:
         path = os.path.join(base, os.fsdecode(name))
-        _build(os.fsencode(path), node)
+        write_tree(os.fsencode(path), node)
         paths.append(path + "/" if slash and node[0] == "dir" else path)
         kinds.append("dir" if node[0] == "dir" else "cnt")
     other = {"dir": os.path.join(base, "other-dir"), "cnt": os.path.join(base, "other-file")}
-    _build(os.fsencode(other["dir"]), ("dir", {b"f": ("file", b"", False)}, False))
-    _build(os.fsencode(other["cnt"]), ("file", b"", False))
+    write_tree(os.fsencode(other["dir"]), ("dir", {b"f": ("file", b"", False)}, False))
+    write_tree(os.fsencode(other["cnt"]), ("file", b"", False))
     missing = os.path.join(base, "missing")
     # --type of the first root's kind fails on a last path of the other kind.
     kind = kinds[0]
@@ -1064,12 +1048,9 @@ def test_bad_option_value_is_usage_error(runner, tmp_path):
     assert result.exit_code == ExitStatus.USAGE
 
 
-def _store_with(tmp_path, manifest, hexid=None):
-    # An exported store holding one object, named by its sha1 by default.
-    hexid = hexid or hashlib.sha1(manifest).hexdigest()
-    bucket = tmp_path / "store" / "objects" / hexid[:2]
-    bucket.mkdir(parents=True)
-    (bucket / hexid[2:]).write_bytes(manifest)
+def _store_with(tmp_path, manifest, hexid=""):
+    # verify of a one-file tree against an export of manifest alone.
+    hexid = export_object(tmp_path / "store", manifest, hexid)
     (tmp_path / "proj").mkdir()
     (tmp_path / "proj" / "f").write_bytes(b"x")
     store = str(tmp_path / "store")

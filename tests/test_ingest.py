@@ -1,7 +1,5 @@
 import errno
 import fnmatch
-import hashlib
-import json
 import os
 import random
 import shutil
@@ -12,6 +10,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from builders import export_object, trees_only, write_tree
 from clirunner import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -22,14 +21,11 @@ from swhid.errors import (
     ExitStatus,
     NotFoundError,
     RangeOutOfBoundsError,
-    SchemaError,
     StoreError,
     TypeMismatchError,
-    UnknownReferenceError,
     UnreadableError,
     UnsupportedNodeKindError,
 )
-from swhid.describe import describe_nodes, realize_descriptions
 from swhid.ingest import (
     ObjectStore,
     extract_lines,
@@ -37,17 +33,13 @@ from swhid.ingest import (
     verify_path,
 )
 from swhid.model import (
-    BranchTarget,
     Content,
     Directory,
     DirectoryEntry,
     EntryPermission,
     PersonStamp,
     Revision,
-    Snapshot,
     content_id,
-    manifest_of,
-    revision_id,
     swhid_of,
 )
 from swhid.syntax import CoreSwhid, LineRange, ObjectId, ObjectType, parse
@@ -617,39 +609,15 @@ def _directories(children):
     )
 
 
-def _materialize(path: bytes, node, excluded: list) -> None:
-    if node[0] == "file":
-        with open(path, "wb") as fh:
-            fh.write(node[1])
-        os.chmod(path, 0o755 if node[2] else 0o644)
-    elif node[0] == "link":
-        os.symlink(node[1], path)
-    else:
-        os.mkdir(path)
-        for name, child in node[1].items():
-            _materialize(os.path.join(path, name), child, excluded)
-        if node[2]:
-            junk = os.path.join(path, b"junk.tmp")
-            cache = os.path.join(path, b"cache.tmp")
-            with open(junk, "wb") as fh:
-                fh.write(b"scratch")
-            inner = os.path.join(cache, b"inner")
-            os.mkdir(cache)
-            with open(inner, "wb") as fh:
-                fh.write(b"dropped with its directory")
-            excluded.extend([junk, inner, cache])
-
-
 @settings(max_examples=30, deadline=None)
 @given(tree=_directories(st.recursive(_LEAVES, _directories, max_leaves=16)))
 def test_ingest_random_trees_match_git(tree, session_oracle, tmp_path_factory):
     base = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())
     root = os.path.join(os.fsencode(base), b"t")
-    excluded: list = []
-    _materialize(root, tree, excluded)
+    excluded = write_tree(root, tree)
     swhid, _ = ingest_path(os.fsdecode(root), excludes=("*.tmp",))
     for path in excluded:
-        (os.rmdir if os.path.isdir(path) else os.unlink)(path)
+        (shutil.rmtree if os.path.isdir(path) else os.unlink)(path)
     expected = session_oracle.add_worktree_path(Path(os.fsdecode(root)))
     assert swhid.object_id.hex == expected
 
@@ -839,15 +807,6 @@ def test_store_audit_detects_tampering(tmp_path):
     assert str(excinfo.value) == f"{where}: bytes do not hash to the file name"
 
 
-def _exported(tmp_path, manifest, hexid=None):
-    # A store holding one object file, named by its sha1 unless told not to.
-    hexid = hexid or hashlib.sha1(manifest).hexdigest()
-    bucket = tmp_path / "exported" / "objects" / hexid[:2]
-    bucket.mkdir(parents=True)
-    (bucket / hexid[2:]).write_bytes(manifest)
-    return tmp_path / "exported", ObjectId.from_hex(hexid)
-
-
 @pytest.mark.parametrize(
     "manifest, message",
     [
@@ -864,10 +823,10 @@ def _exported(tmp_path, manifest, hexid=None):
          "no-space", "empty"],
 )
 def test_store_load_rejects_bad_headers(tmp_path, manifest, message):
-    base, object_id = _exported(tmp_path, manifest)
+    hexid = export_object(tmp_path / "exported", manifest)
     with pytest.raises(StoreError, match=message) as excinfo:
-        ObjectStore.load(base)
-    where = f"objects/{object_id.hex[:2]}/{object_id.hex[2:]}"
+        ObjectStore.load(tmp_path / "exported")
+    where = f"objects/{hexid[:2]}/{hexid[2:]}"
     if message == "unknown manifest kind":
         message += f" {manifest.split(b' ', 1)[0]!r}"
     else:
@@ -1075,18 +1034,18 @@ def _export_outcome(export: str, root: str, root_id: CoreSwhid):
 @settings(max_examples=40, deadline=None)
 @given(
     tree=_directories(st.recursive(_LEAVES, _directories, max_leaves=5)),
-    trees_only=st.booleans(),
+    only_trees=st.booleans(),
     mutation=st.sampled_from(_MUTATIONS),
     data=st.data(),
 )
-def test_hostile_export_is_refused_or_reads_as_before(tree, trees_only, mutation, data):
+def test_hostile_export_is_refused_or_reads_as_before(tree, only_trees, mutation, data):
     with tempfile.TemporaryDirectory() as base:
         root = os.path.join(base, "t")
-        _materialize(os.fsencode(root), tree, [])
+        write_tree(os.fsencode(root), tree)
         root_id, store = ingest_path(root)
         export = os.path.join(base, "exported")
-        if trees_only:
-            _trees_only(store, Path(export))
+        if only_trees:
+            trees_only(store, Path(export))
         else:
             store.save(export)
         before = _export_outcome(export, root, root_id)
@@ -1105,12 +1064,12 @@ def test_hostile_export_is_refused_or_reads_as_before(tree, trees_only, mutation
     ids=["no-space", "short-id", "no-nul"],
 )
 def test_malformed_reference_tree_is_a_store_error(tmp_path, body):
-    base, tree_id = _exported(tmp_path, b"tree %d\x00%s" % (len(body), body))
-    reference = ObjectStore.load(base)
+    hexid = export_object(tmp_path / "exported", b"tree %d\x00%s" % (len(body), body))
+    reference = ObjectStore.load(tmp_path / "exported")
     (tmp_path / "proj").mkdir()
     (tmp_path / "proj" / "f").write_bytes(b"x")
-    expected = CoreSwhid(ObjectType.DIRECTORY, tree_id)
-    with pytest.raises(StoreError, match=f"tree {tree_id.hex}: malformed"):
+    expected = CoreSwhid(ObjectType.DIRECTORY, ObjectId.from_hex(hexid))
+    with pytest.raises(StoreError, match=f"tree {hexid}: malformed"):
         verify_path(expected, tmp_path / "proj", reference=reference)
 
 
@@ -1302,20 +1261,11 @@ def test_verify_keeps_no_tree_without_a_reference_to_compare(tmp_path, monkeypat
     assert rows == [("", swhid.object_id.hex, actual, "differs")]
 
 
-def _trees_only(store: ObjectStore, dest: Path) -> ObjectStore:
-    """An export of store's tree objects alone, loaded back."""
-    store.save(dest)
-    for item in (dest / "objects").glob("*/*"):
-        if not item.read_bytes().startswith(b"tree "):
-            item.unlink()
-    return ObjectStore.load(dest)
-
-
 def test_verify_detail_rows_against_a_trees_only_reference(tmp_path):
     root = tmp_path / "proj"
     make_tree(root)
     swhid, full = ingest_path(root)
-    reference = _trees_only(full, tmp_path / "exported")
+    reference = trees_only(full, tmp_path / "exported")
     assert len(reference) == 4 and len(full) == 9
     (root / "src" / "main.c").write_bytes(b"int main(void) { return 1; }\n")
     (root / "src" / "util.c").chmod(0o755)
@@ -1519,276 +1469,3 @@ def test_extract_lines_command_on_a_mebibyte_file(tmp_path):
             err,
         )
 
-
-# --- description files ----------------------------------------------------------------
-
-
-def _description_document() -> bytes:
-    return json.dumps(
-        [
-            {
-                "type": "snapshot",
-                "label": "snap",
-                "branches": {
-                    "refs/heads/main": {
-                        "target_type": "revision",
-                        "target": "label:tip",
-                    },
-                    "HEAD": {"target_type": "alias", "target": "refs/heads/main"},
-                    "refs/gone": None,
-                },
-            },
-            {
-                "type": "revision",
-                "label": "tip",
-                "tree": "4b825dc642cb6eb9a060e54bf8d69288fbee4904",
-                "parents": [],
-                "author": "Ann <ann@example.org>",
-                "author_date": {"seconds": 1234567890, "offset": "+0200"},
-                "committer": "Ann <ann@example.org>",
-                "committer_date": {"seconds": 1234567890, "offset": "+0200"},
-                "message": "initial\n",
-            },
-            {
-                "type": "release",
-                "label": "v1",
-                "target": "label:tip",
-                "target_type": "revision",
-                "name": "v1.0",
-                "message": "notes\n",
-                "tagger": "Ann <ann@example.org>",
-                "tagger_date": {"seconds": 1234567891, "offset": "+0200"},
-            },
-        ]
-    ).encode()
-
-
-def test_describe_and_realize_round_trip():
-    descriptions = describe_nodes(_description_document())
-    assert [d.kind for d in descriptions] == [
-        ObjectType.SNAPSHOT,
-        ObjectType.REVISION,
-        ObjectType.RELEASE,
-    ]
-    store = ObjectStore()
-    realized = realize_descriptions(descriptions, store)
-    assert len(realized) == 3
-    ids = {swhid.object_type: swhid for swhid, _ in realized}
-
-    stamp = PersonStamp(b"Ann <ann@example.org>", 1234567890, "+0200")
-    tip = Revision(
-        tree=ObjectId.from_hex("4b825dc642cb6eb9a060e54bf8d69288fbee4904"),
-        parents=(),
-        author=stamp,
-        committer=stamp,
-        message=b"initial\n",
-    )
-    assert ids[ObjectType.REVISION] == swhid_of(tip)
-    assert ids[ObjectType.SNAPSHOT].object_id == swhid_of(
-        Snapshot(
-            {
-                b"refs/heads/main": BranchTarget.to_object(
-                    ObjectType.REVISION, revision_id(tip)
-                ),
-                b"HEAD": BranchTarget.to_alias(b"refs/heads/main"),
-                b"refs/gone": BranchTarget.dangling_ref(),
-            }
-        )
-    ).object_id
-    # Everything landed in the store.
-    for swhid, _ in realized:
-        assert store.get(swhid.object_type, swhid.object_id) is not None
-
-
-def test_describe_forward_references_allowed():
-    # The snapshot above references "tip" before it is defined.
-    descriptions = describe_nodes(_description_document())
-    realized = realize_descriptions(descriptions)
-    assert realized[0][0].object_type is ObjectType.SNAPSHOT
-
-
-def test_describe_rejects_bad_json():
-    with pytest.raises(SchemaError):
-        describe_nodes(b"")
-    with pytest.raises(SchemaError):
-        describe_nodes(b"{")
-    with pytest.raises(SchemaError):
-        describe_nodes(b'{"type": "revision"}')  # not a list
-
-
-def test_describe_rejects_unknown_type():
-    with pytest.raises(SchemaError) as excinfo:
-        describe_nodes(b'[{"type": "blob"}]')
-    assert excinfo.value.location == "$[0].type"
-
-
-def test_describe_rejects_bad_hex():
-    document = json.loads(_description_document())
-    document[1]["tree"] = "not-hex"
-    with pytest.raises(SchemaError) as excinfo:
-        describe_nodes(json.dumps(document).encode())
-    assert excinfo.value.location == "$[1].tree"
-
-
-def test_describe_rejects_bad_offset():
-    document = json.loads(_description_document())
-    document[1]["author_date"]["offset"] = "+2"
-    with pytest.raises(SchemaError) as excinfo:
-        describe_nodes(json.dumps(document).encode())
-    assert "author_date" in excinfo.value.location
-
-
-def test_describe_rejects_duplicate_labels():
-    document = json.loads(_description_document())
-    document[2]["label"] = "tip"
-    with pytest.raises(SchemaError):
-        describe_nodes(json.dumps(document).encode())
-
-
-def test_describe_rejects_undefined_label():
-    document = json.loads(_description_document())
-    document[0]["branches"]["refs/heads/main"]["target"] = "label:nowhere"
-    with pytest.raises(UnknownReferenceError):
-        describe_nodes(json.dumps(document).encode())
-
-
-def test_describe_base64_fields():
-    document = [
-        {
-            "type": "release",
-            "target": "aa" * 20,
-            "target_type": "revision",
-            "name_b64": "djEuMA==",  # "v1.0"
-            "message_b64": "aGkA",  # "hi\0"
-            "tagger": "A <a@x>",
-            "tagger_date": {"seconds": 0, "offset": "+0000"},
-        }
-    ]
-    (description,) = describe_nodes(json.dumps(document).encode())
-    assert description.fields["name"] == b"v1.0"
-    assert description.fields["message"] == b"hi\x00"
-
-
-def test_describe_rejects_missing_fields():
-    with pytest.raises(SchemaError):
-        describe_nodes(b'[{"type": "revision", "parents": []}]')
-
-
-def test_describe_rejects_tagger_date_without_tagger():
-    document = [
-        {
-            "type": "release",
-            "target": "aa" * 20,
-            "target_type": "revision",
-            "name": "v1",
-            "message": "",
-            "tagger_date": {"seconds": 0, "offset": "+0000"},
-        }
-    ]
-    with pytest.raises(SchemaError):
-        describe_nodes(json.dumps(document).encode())
-
-
-def test_describe_extra_headers():
-    document = [
-        {
-            "type": "revision",
-            "tree": "4b825dc642cb6eb9a060e54bf8d69288fbee4904",
-            "parents": [],
-            "author": "A <a@x>",
-            "author_date": {"seconds": 0, "offset": "+0000"},
-            "committer": "A <a@x>",
-            "committer_date": {"seconds": 0, "offset": "+0000"},
-            "message": "m\n",
-            "extra_headers": [["encoding", "ISO-8859-1"]],
-        }
-    ]
-    (description,) = describe_nodes(json.dumps(document).encode())
-    ((swhid, node),) = realize_descriptions([description])
-    assert b"encoding ISO-8859-1\n" in manifest_of(node)
-
-
-def _chain_document(order):
-    """Revisions r0 <- r1 <- ... <- r5, a release of r3 and a snapshot."""
-    entries = []
-    for index in range(6):
-        entries.append(
-            {
-                "type": "revision",
-                "label": f"r{index}",
-                "tree": "4b825dc642cb6eb9a060e54bf8d69288fbee4904",
-                "parents": [f"label:r{index - 1}"] if index else [],
-                "author": "A <a@x>",
-                "author_date": {"seconds": index, "offset": "+0000"},
-                "committer": "A <a@x>",
-                "committer_date": {"seconds": index, "offset": "+0000"},
-                "message": f"commit {index}\n",
-            }
-        )
-    entries.append(
-        {
-            "type": "release",
-            "label": "v1",
-            "target": "label:r3",
-            "target_type": "revision",
-            "name": "v1",
-            "message": "",
-        }
-    )
-    entries.append(
-        {
-            "type": "snapshot",
-            "label": "snap",
-            "branches": {
-                "main": {"target_type": "revision", "target": "label:r5"},
-                "v1": {"target_type": "release", "target": "label:v1"},
-            },
-        }
-    )
-    return [entries[i] for i in order]
-
-
-def test_realize_mixed_order_matches_oldest_first():
-    oldest = describe_nodes(json.dumps(_chain_document(range(8))).encode())
-    expected = {
-        d.label: swhid for d, (swhid, _) in zip(oldest, realize_descriptions(oldest))
-    }
-    # Forward and backward references, in document order.
-    mixed = [7, 2, 5, 0, 6, 4, 1, 3]
-    descriptions = describe_nodes(json.dumps(_chain_document(mixed)).encode())
-    realized = realize_descriptions(descriptions)
-    assert {d.label: swhid for d, (swhid, _) in zip(descriptions, realized)} == expected
-
-    # A cycle (c1 <-> c2), a node hanging off it (c3), and a dropped
-    # definition (r5): the realizable part still goes into the store, and
-    # the error names every label left unresolved.
-    document = _chain_document(mixed)
-    for label, parent in (("c1", "c2"), ("c2", "c1"), ("c3", "c1")):
-        document.append(dict(document[3], label=label, parents=[f"label:{parent}"]))
-    stuck = [
-        d for d in describe_nodes(json.dumps(document).encode()) if d.label != "r5"
-    ]
-    store = ObjectStore()
-    with pytest.raises(UnknownReferenceError) as excinfo:
-        realize_descriptions(stuck, store)
-    assert str(excinfo.value) == "reference cycle or undefined labels: c1, c2, r5"
-    assert set(store) == {
-        (expected[label].object_type, expected[label].object_id)
-        for label in ("r0", "r1", "r2", "r3", "r4", "v1")
-    }
-
-
-def test_realize_reports_unresolvable_labels():
-    document = [
-        {
-            "type": "release",
-            "label": "a",
-            "target": "label:a",  # self-reference can never resolve
-            "target_type": "release",
-            "name": "x",
-            "message": "",
-        }
-    ]
-    descriptions = describe_nodes(json.dumps(document).encode())
-    with pytest.raises(UnknownReferenceError):
-        realize_descriptions(descriptions)
