@@ -77,13 +77,13 @@ os.register_at_fork(after_in_child=_idle.clear)
 
 
 @functools.lru_cache(maxsize=64)
-def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, Optional[str]]]:
+def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, str]]:
     """The proxy urlopen would use for a target, or None to go direct.
 
-    Returns (proxy scheme, proxy host:port, Proxy-Authorization value or
-    None). Reading the *_proxy variables costs ~0.2 ms, about as much as a
-    whole GET from a local archive, so each target's answer is kept for
-    the life of the process, as urlopen keeps its opener.
+    Returns (proxy scheme, proxy host:port, the Proxy-Authorization header
+    line or ""). Reading the *_proxy variables costs ~0.2 ms, about as much
+    as a whole GET from a local archive, so each target's answer is kept
+    for the life of the process, as urlopen keeps its opener.
 
     Outside macOS and Windows, whose system settings can name a proxy too,
     urllib takes proxies from the environment alone, and only from a
@@ -102,10 +102,11 @@ def _proxy(scheme: str, netloc: str) -> Optional[Tuple[str, str, Optional[str]]]
     if "://" not in proxy:  # a bare host:port speaks the target's scheme
         proxy = f"{scheme}://{proxy}"
     parts = urlsplit(proxy)
-    auth = None
+    auth = ""
     if parts.username and parts.password:
         user = f"{unquote(parts.username)}:{unquote(parts.password)}"
-        auth = "Basic " + base64.b64encode(user.encode()).decode("ascii")
+        token = base64.b64encode(user.encode()).decode("ascii")
+        auth = f"Proxy-Authorization: Basic {token}\r\n"
     return parts.scheme, unquote(parts.netloc.rpartition("@")[2]), auth
 
 
@@ -216,8 +217,7 @@ def _connect(route, timeout: float) -> io.BufferedReader:
     conn = io.BufferedReader(_Socket(sock), _MAXLINE)
     try:
         if proxy is not None and scheme == "https":
-            auth = f"Proxy-Authorization: {proxy[2]}\r\n" if proxy[2] else ""
-            sock.sendall(f"CONNECT {host}:{port or 443} HTTP/1.0\r\n{auth}\r\n".encode("ascii"))
+            sock.sendall(f"CONNECT {host}:{port or 443} HTTP/1.0\r\n{proxy[2]}\r\n".encode("ascii"))
             status, reason, *_ = _head(conn)
             if status != 200:
                 raise OSError(f"Tunnel connection failed: {status} {reason}")
@@ -249,7 +249,7 @@ def _exchange(url: str, timeout: float, limit: Optional[int]):
     auth = ""
     if proxy is not None and scheme == "http":  # absolute form, to the proxy
         target, host = f"http://{parts.netloc}{target}", parts.netloc
-        auth = f"Proxy-Authorization: {proxy[2]}\r\n" if proxy[2] else ""
+        auth = proxy[2]
     for part in (hostname if proxy is None else proxy[1], target, hostname):
         if found := _UNSAFE(part):
             found = f"{part!r} (found at least {found.group()!r})"
@@ -324,9 +324,9 @@ def get(
     """GET url's body, with retries on transport errors and 5xx only.
 
     404 is a definitive answer (NotFoundInArchive). Other 4xx, a redirect
-    that is not followed, a body over limit bytes and a URL that is not
-    http or https are reported as transport failures without retrying,
-    since repeating the request cannot help.
+    that is not followed, a body over limit bytes or too large to hold, and
+    a URL that is not http or https are reported as transport failures
+    without retrying, since repeating the request cannot help.
     """
     try:
         parts = urlsplit(url)
@@ -350,6 +350,8 @@ def get(
         except (OSError, ValueError) as exc:
             failure, cause = f"GET {url}: {exc}", exc
             continue
+        except (MemoryError, OverflowError) as exc:  # read(n) allocates n bytes before it reads
+            raise TransportError(f"GET {url}: body too large to hold") from exc
         if 200 <= status < 300:
             if body is None:
                 raise TransportError(f"GET {url}: body over {limit} bytes")

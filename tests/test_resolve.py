@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import socket
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from clirunner import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import swhid
 from swhid.cli import main
 from swhid.errors import (
     IntegrityMismatchError,
@@ -605,8 +607,8 @@ _STATUS_LINES = {
     "no reason": "HTTP/1.1 {code}",
     "over 64 KiB": "HTTP/1.1 {code} " + "x" * 65536,
 }
-_LENGTHS = ("true", "short", "long", "absent", "non-digit", "two values")
-_CHUNKS = (None, "good", "non-hex", "negative", "truncated")
+_LENGTHS = ("true", "short", "long", "huge", "past maxsize", "absent", "non-digit", "two values")
+_CHUNKS = (None, "good", "non-hex", "negative", "huge", "truncated")
 _BODIES = ("equal", "altered", "truncated")
 _LOCATIONS = (
     None,
@@ -626,7 +628,8 @@ def _response(status, code, continued, length, chunks, close, pad, location, mut
             body = body[: len(body) // 2]
         headers = [_STATUS_LINES[status].format(code=code)]
         headers += [f"X-Pad-{i}: {i}" for i in range(101 if pad else 0)]
-        declared = {"true": len(body), "short": len(body) - 3, "long": len(body) + 5}
+        declared = {"true": len(body), "short": len(body) - 3, "long": len(body) + 5,
+                    "huge": 1000000000000000, "past maxsize": 99999999999999999999}
         if length in declared:
             headers.append(f"Content-Length: {declared[length]}")
         elif length == "non-digit":
@@ -640,7 +643,8 @@ def _response(status, code, continued, length, chunks, close, pad, location, mut
         payload = body
         if chunks is not None:
             headers.append("Transfer-Encoding: chunked")
-            size = {"good": b"%x", "non-hex": b"zz", "negative": b"-%x"}.get(chunks, b"%x")
+            size = {"good": b"%x", "non-hex": b"zz", "negative": b"-%x",
+                    "huge": b"fffffffffffffffffffff"}.get(chunks, b"%x")
             half = len(body) // 2
             payload = b"".join(
                 (size % len(part) if b"%" in size else size) + b"\r\n" + part + b"\r\n"
@@ -667,6 +671,14 @@ def _response(status, code, continued, length, chunks, close, pad, location, mut
     location="http://:1/no-host",
     mutation="equal",
 )
+# A declared length or chunk size that no read can hold: read(n) allocates n
+# bytes first, and fails at once with MemoryError or OverflowError.
+@example(status="valid", code=200, continued=False, length="huge", chunks=None, close=False,
+         pad=False, location=None, mutation="equal")
+@example(status="valid", code=200, continued=False, length="past maxsize", chunks=None,
+         close=False, pad=False, location=None, mutation="equal")
+@example(status="valid", code=200, continued=False, length="absent", chunks="huge",
+         close=False, pad=False, location=None, mutation="equal")
 @given(
     status=st.sampled_from(sorted(_STATUS_LINES)),
     code=st.sampled_from([200, 200, 204, 302, 404, 500]),
@@ -697,3 +709,32 @@ def test_hostile_response_gives_verified_bytes_or_an_archive_error(**script):
             assert (metadata.swhid, metadata.object_type_confirmed) == (SCRIPTED_ID, True)
     finally:
         server.close()
+
+
+@pytest.mark.parametrize(
+    "length, chunks", [("huge", None), ("past maxsize", None), ("absent", "huge")]
+)
+def test_unholdable_declared_length_exits_3(tmp_path, length, chunks):
+    # Metadata is served whole; only the content fetch declares the length.
+    true = _response("valid", 200, False, "true", None, False, False, None, "equal")
+    hostile = _response("valid", 200, False, length, chunks, False, False, None, "equal")
+    server = _Scripted(
+        lambda body, base: (true if body == SCRIPTED_PAYLOAD else hostile)(body, base)
+    )
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    src = os.path.dirname(os.path.dirname(swhid.__file__))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "swhid.cli", "resolve", "--check", "--fetch",
+             str(tmp_path / "out"), "--endpoint", server.endpoint, str(SCRIPTED_ID)],
+            env=dict(env, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        server.close()
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.startswith("swhid: GET ")
+    assert "Traceback" not in child.stderr
+    assert not (tmp_path / "out").exists()
