@@ -67,9 +67,13 @@ def snapshot(branches, **changes) -> dict:
 
 
 def person(key: str, who) -> dict:
-    """The fields key and key_date of who, a GitOracle person (name, email, seconds, offset)."""
+    """The fields key and key_date of who, a GitOracle person (name, email, seconds, offset).
+
+    An email of None gives a person without one, which git cannot write.
+    """
     name, email, seconds, offset = who
-    return {key: f"{name} <{email}>", f"{key}_date": {"seconds": seconds, "offset": offset}}
+    raw = name if email is None else f"{name} <{email}>"
+    return {key: raw, f"{key}_date": {"seconds": seconds, "offset": offset}}
 
 
 def doc(*entries) -> bytes:

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ from gitoracle import GitOracle
 from mockarchive import MockArchive
 
 DATA_DIR = Path(__file__).parent / "data"
+# The benchmark's seeded generators and git oracle, imported unchanged.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
+import base64
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from builders import DROP, doc, person, release, revision
+from hypothesis import example, given, settings, strategies as st
+from oracle import hash_texts
 
+from swhid.describe import describe_nodes, realize_descriptions
 from swhid.errors import (
     DuplicateNameError,
     InvalidBranchNameError,
@@ -448,6 +452,167 @@ def test_taggerless_tag_matches_git(oracle):
         tagger=None,
     )
     assert release_id(r).hex == oracle.hash_raw("tag", raw)
+
+
+# --- git parity for generated revisions and releases ---------------------------
+
+# Names and emails git keeps as given: it strips spaces and dots, among
+# other "crud", from their ends.
+_NAMES = st.text("abAZ09-_. \u00e9", min_size=1, max_size=6).filter(
+    lambda text: text[0] not in " ." and text[-1] not in " ."
+)
+_EMAILS = st.text("ab09-_.@+\u00e9", max_size=6).filter(
+    lambda text: not text or "." not in (text[0], text[-1])
+)
+_OFFSETS = st.one_of(
+    st.sampled_from(["+0000", "-0000", "+1400", "-0930"]),
+    st.builds("{}{:02}{:02}".format, st.sampled_from("+-"), st.integers(0, 99), st.integers(0, 59)),
+)
+# (name, email, seconds, offset), as GitOracle takes a person; an email of
+# None, in an @example, is a person without one.
+_PEOPLE = st.tuples(_NAMES, _EMAILS, st.one_of(st.just(0), st.integers(2**32, 2**63)), _OFFSETS)
+_MESSAGES = st.lists(
+    st.sampled_from([b"a", b" ", b"\n", b"\r", b"\r\n", b"\xff", b"\xe9", "\u00e9".encode()]),
+    max_size=6,
+).map(b"".join)
+_TAG_NAMES = st.from_regex(r"\A[a-z0-9][a-z0-9_-]{0,5}(\.[a-z0-9_-]{1,3})?\Z")
+
+
+def _model_only(people, parents=(), message=None) -> list:
+    """Why git's porcelain cannot write these inputs as given: the model keeps them,
+    since the archive must identify the history it finds.
+    """
+    reasons = []
+    for _, email, seconds, offset in people:
+        if offset == "-0000":
+            reasons.append("git writes the offset -0000 as +0000")
+        if int(offset[3:]) > 59:
+            reasons.append("git carries an offset's minutes past 59 into its hours")
+        if seconds < 0:
+            reasons.append("git refuses a date before the epoch")
+        if email is None:
+            reasons.append("git writes a person without an email as 'name <>'")
+    if len(set(parents)) < len(parents):
+        reasons.append("commit-tree drops a parent given twice")
+    if message is not None and not _is_utf8(message):
+        reasons.append("commit-tree rewrites the bytes of a message that are not UTF-8 as Latin-1")
+    return reasons
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _stamp(who) -> PersonStamp:
+    name, email, seconds, offset = who
+    raw = name if email is None else f"{name} <{email}>"
+    return PersonStamp(raw.encode(), seconds, offset)
+
+
+def _written(who):
+    """who as git's porcelain is given it: without an email, with an empty one."""
+    name, email, seconds, offset = who
+    return name, email or "", seconds, offset
+
+
+def _porcelain(call, *args):
+    """The id git's porcelain writes, or None where it refuses the input."""
+    try:
+        return call(*args)
+    except RuntimeError:
+        return None
+
+
+def _agrees_with_git(oracle, node, porcelain, reasons) -> None:
+    """The porcelain wrote the model's id, or for a model-only input git's
+    object check accepts the model's bytes and hashes them to that id.
+    """
+    header, _, body = manifest_of(node).partition(b"\x00")
+    model = object_id_of(node)[1].hex
+    if not reasons:
+        assert porcelain == model
+        return
+    assert porcelain != model, reasons
+    kind = header.split(b" ")[0].decode()
+    assert hash_texts(oracle.root / ".git", kind, [body], oracle.root / "texts") == [model]
+
+
+@pytest.fixture(scope="module")
+def parent_commits(session_oracle):
+    who = ("P", "p@x", 0, "+0000")
+    return [
+        session_oracle.commit_id(EMPTY_TREE, [], who, who, b"parent %d\n" % i) for i in range(3)
+    ]
+
+
+_A = ("A", "a@x", 0, "+0000")
+
+
+@settings(max_examples=20, deadline=None)
+@example(parents=[], author=("A", "a@x", 0, "-0000"), committer=_A, message=b"")
+@example(parents=[], author=_A, committer=("A", "a@x", 0, "+0099"), message=b"")
+@example(parents=[], author=("A", "a@x", -5, "+0000"), committer=_A, message=b"")
+@example(parents=[], author=("A", None, 0, "+0000"), committer=_A, message=b"")
+@example(parents=[1, 1], author=_A, committer=_A, message=b"")
+@example(parents=[], author=_A, committer=_A, message=b"\xff\n")
+@given(
+    parents=st.lists(st.integers(0, 2), max_size=3, unique=True),
+    author=_PEOPLE,
+    committer=_PEOPLE,
+    message=_MESSAGES,
+)
+def test_generated_revisions_match_git(
+    session_oracle, parent_commits, parents, author, committer, message
+):
+    parents = [parent_commits[i] for i in parents]  # commit-tree needs a parent it holds
+    node = Revision(
+        ObjectId.from_hex(EMPTY_TREE),
+        [ObjectId.from_hex(p) for p in parents],
+        _stamp(author),
+        _stamp(committer),
+        message,
+    )
+    entry = revision(
+        parents=parents,
+        message=DROP,
+        message_b64=base64.b64encode(message).decode(),
+        **person("author", author),
+        **person("committer", committer),
+    )
+    ((realized, _),) = realize_descriptions(describe_nodes(doc(entry)))
+    assert realized == swhid_of(node)
+    porcelain = _porcelain(
+        session_oracle.commit_id, EMPTY_TREE, parents, _written(author), _written(committer), message
+    )
+    reasons = _model_only([author, committer], parents, message)
+    _agrees_with_git(session_oracle, node, porcelain, reasons)
+
+
+@settings(max_examples=15, deadline=None)
+@example(name="v1", message=b"", tagger=("A", "a@x", 0, "-0000"))
+@example(name="v1", message=b"", tagger=("A", None, -5, "+0000"))
+@given(name=_TAG_NAMES, message=_MESSAGES, tagger=_PEOPLE)
+def test_generated_releases_match_git(session_oracle, parent_commits, name, message, tagger):
+    target = parent_commits[0]
+    node = Release(
+        ObjectId.from_hex(target), ObjectType.REVISION, name.encode(), message, _stamp(tagger)
+    )
+    entry = release(
+        target=target,
+        target_type="revision",
+        name=name,
+        message=DROP,
+        message_b64=base64.b64encode(message).decode(),
+        **person("tagger", tagger),
+    )
+    ((realized, _),) = realize_descriptions(describe_nodes(doc(entry)))
+    assert realized == swhid_of(node)
+    porcelain = _porcelain(session_oracle.tag_id, target, name, message, _written(tagger))
+    _agrees_with_git(session_oracle, node, porcelain, _model_only([tagger]))
 
 
 # --- snapshots ----------------------------------------------------------------
