@@ -1,4 +1,4 @@
-"""Compare `swhid identify` and `swhid resolve` children of this checkout with another revision's.
+"""Compare `swhid identify`, `verify` and `resolve` children of this checkout with another revision's.
 
     python tests/differential.py --rev REV [--seeds 1,2]
 
@@ -11,6 +11,13 @@ seed (--seeds "" for none), and a small tree with names that are not UTF-8
 or that JSON escapes. The cases cover text and --json, --recursive,
 --exclude '*.tmp', two paths, file and symlink roots, and a last path that
 is missing or of the wrong --type.
+
+verify: `verify [--json] --exclude '*.tmp'` of each of those trees and of a
+changed copy (perfbench's seeded edits on a hard-link copy, or one edited
+file in a copy of the small tree), with no reference, with --objects of a
+full export (ingest_path, then ObjectStore.save) and with --objects of an
+export of its trees alone. The identifier and both exports come from this
+checkout.
 
 resolve: `resolve --check --fetch FILE [--json]` against one MockArchive
 (tests/mockarchive.py) that is ok, lacks the id, corrupts it, fails with
@@ -29,6 +36,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -39,10 +47,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids
+sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids and the exports
 import gen  # noqa: E402
-from builders import write_tree  # noqa: E402
+from builders import trees_only, write_tree  # noqa: E402
 from mockarchive import MockArchive  # noqa: E402
+from swhid.ingest import ingest_path  # noqa: E402
 
 Outcome = Tuple[int, bytes, bytes]
 EXCLUDE = ["--exclude", "*.tmp"]
@@ -112,10 +121,24 @@ def child_env(src: Path) -> dict:
     return dict(env, PYTHONPATH=str(src))
 
 
+def verify_cases(work_dir: Path, name: str, changed: str) -> List[List[str]]:
+    """verify's arguments for the tree name and its changed copy, after writing both exports."""
+    root_id, store = ingest_path(work_dir / name, ("*.tmp",))
+    store.save(work_dir / f"{name}.full")
+    trees_only(store, work_dir / f"{name}.trees")
+    references = ([], ["--objects", f"{name}.full"], ["--objects", f"{name}.trees"])
+    return [
+        ["verify", *as_json, *EXCLUDE, *objects, str(root_id), path]
+        for path in (name, changed)
+        for objects in references
+        for as_json in ([], ["--json"])
+    ]
+
+
 def run(src: Path, args: Sequence[str], cwd: Path) -> Outcome:
     env = child_env(src)
     child = subprocess.run(
-        [sys.executable, "-m", "swhid.cli", "identify", *args],
+        [sys.executable, "-m", "swhid.cli", *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -220,22 +243,28 @@ def compare(
     """
     ours_src = ROOT / "src"
     differences: List[str] = []
-    counts = {"identify": 0, "resolve": 0}
+    counts = {"identify": 0, "verify": 0, "resolve": 0}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(3) as pool:
         work_dir = Path(work)
-        # One thread runs the resolve cases in turn, while two run identify's sides.
+        # One thread runs the resolve cases in turn, while two run the other sides.
         resolved = pool.submit(compare_resolve, parent_src, work_dir / "resolve", modes)
         write_tree(os.fsencode(work_dir / "odd"), ODD_NAMES)
+        shutil.copytree(work_dir / "odd", work_dir / "odd-changed", symlinks=True)
+        (work_dir / "odd-changed" / os.fsdecode(b"d\xe9/inner.txt")).write_bytes(b"edited\n")
         trees = [("odd", os.fsdecode(b"odd/caf\xe9.txt"), os.fsdecode(b"odd/link\xe9"))]
         for seed in seeds:
-            tree = gen.many_small_tree(seed, work_dir / f"seed{seed}")
             name = f"seed{seed}"
+            tree = gen.many_small_tree(seed, work_dir / name)
+            gen.mutate(gen.link_copy(tree, work_dir / f"{name}-changed"), seed)
             trees.append((name, f"{name}/{tree.files[0]}", f"{name}/{tree.links[0]}"))
-        for root, file, link in trees:
-            for args in cases(root, file, link):
-                theirs, ours = pool.map(run, (parent_src, ours_src), [args] * 2, [work_dir] * 2)
-                counts["identify"] += 1
-                differences += _differences(f"identify {' '.join(args)!r}", ours, theirs)
+        children = []
+        for name, file, link in trees:
+            children += [("identify", ["identify", *args]) for args in cases(name, file, link)]
+            children += [("verify", args) for args in verify_cases(work_dir, name, f"{name}-changed")]
+        for surface, args in children:
+            theirs, ours = pool.map(run, (parent_src, ours_src), [args] * 2, [work_dir] * 2)
+            counts[surface] += 1
+            differences += _differences(f"{surface} {' '.join(args[1:])!r}", ours, theirs)
         for label, ours, theirs in resolved.result():
             counts["resolve"] += 1
             differences += _differences(label, ours, theirs)

@@ -13,4 +13,7 @@ def test_harness_finds_no_difference_against_a_copy_of_itself(tmp_path):
     # Two resolve cases keep the test fast; the script runs all twelve.
     modes = ("ok", "refused CONNECT")
     counts, differences = differential.compare(tmp_path / "src", seeds=(), modes=modes)
-    assert (counts["identify"] > 0, counts["resolve"] > 0, differences) == (True, True, [])
+    assert {surface: n > 0 for surface, n in counts.items()} == {
+        "identify": True, "verify": True, "resolve": True
+    }
+    assert differences == []
