@@ -2,7 +2,8 @@
 
 Description documents: revision(), release() and snapshot() give one entry
 each, with fields that describe_nodes accepts unless a keyword changes or
-drops one (DROP); doc() writes the entries as a document. Test trees:
+drops one (DROP), and person() gives a person's two fields; doc() writes
+the entries as a document. Test trees:
 write_tree() writes a node tuple to disk. Exports: export_object() writes
 an export of one object file, and trees_only() an export of a store's
 trees alone.

@@ -49,15 +49,17 @@ SRC = Path(swhid.ingest.__file__).resolve().parents[1]
 
 def make_tree(root: Path) -> None:
     """A small fixture tree with every representable node kind."""
-    (root / "src").mkdir(parents=True)
-    (root / "src" / "main.c").write_bytes(b"int main(void) { return 0; }\n")
-    (root / "src" / "util.c").write_bytes(b"/* helpers */\n")
-    (root / "docs").mkdir()
-    (root / "docs" / "readme.txt").write_bytes(b"hello\n")
-    (root / "empty").mkdir()
-    (root / "run.sh").write_bytes(b"#!/bin/sh\nexit 0\n")
-    (root / "run.sh").chmod(0o755)
-    os.symlink("src/main.c", root / "entry")
+    src = {
+        b"main.c": ("file", b"int main(void) { return 0; }\n", False),
+        b"util.c": ("file", b"/* helpers */\n", False),
+    }
+    write_tree(os.fsencode(root), ("dir", {
+        b"src": ("dir", src, False),
+        b"docs": ("dir", {b"readme.txt": ("file", b"hello\n", False)}, False),
+        b"empty": ("dir", {}, False),
+        b"run.sh": ("file", b"#!/bin/sh\nexit 0\n", True),
+        b"entry": ("link", b"src/main.c"),
+    }, False))
 
 
 # --- ingestion ------------------------------------------------------------------
