@@ -46,7 +46,8 @@ __all__ = [
     "swhid_of",
 ]
 
-_OFFSET_RE = re.compile(rb"\A[+-][0-9]{4}\Z")
+_OFFSET = re.compile(r"[+-][0-9]{4}").fullmatch
+_PERSON_LINE = b"%s %s %d %s\n"  # label, raw person, seconds, UTC offset
 
 
 class Content(_Value):
@@ -111,19 +112,14 @@ class PersonStamp(_Value):
     def __init__(self, raw_person: bytes, seconds: int, utc_offset: str = "+0000"):
         if b"\n" in raw_person:
             raise MalformedPersonError("person bytes contain a newline")
-        if not _OFFSET_RE.match(utc_offset.encode("ascii", "replace")):
+        if not _OFFSET(utc_offset):
             raise MalformedPersonError(f"UTC offset {utc_offset!r} is not +HHMM/-HHMM")
         _setattr(self, "raw_person", raw_person)
         _setattr(self, "seconds", seconds)
         _setattr(self, "utc_offset", utc_offset)
 
     def line(self, label: bytes) -> bytes:
-        return b"%s %s %d %s\n" % (
-            label,
-            self.raw_person,
-            self.seconds,
-            self.utc_offset.encode("ascii"),
-        )
+        return _PERSON_LINE % (label, self.raw_person, self.seconds, self.utc_offset.encode())
 
 
 class Revision(_Value):
@@ -139,7 +135,7 @@ class Revision(_Value):
         extra_headers: Iterable[Tuple[bytes, bytes]] = (),
     ):
         parents = tuple(parents)
-        extra_headers = tuple(map(tuple, extra_headers))
+        extra_headers = tuple(map(tuple, extra_headers)) if extra_headers else ()
         for key, _ in extra_headers:
             if not key or b"\n" in key or b" " in key:
                 raise MalformedNameError(f"extra header key {key!r} is not a single word")
@@ -271,11 +267,14 @@ def _fold_header_value(value: bytes) -> bytes:
 
 
 def _revision_body(node: Revision) -> bytes:
-    lines = [b"tree %s\n" % node.tree.hex.encode("ascii")]
+    lines = [b"tree %s\n" % node.tree.raw.hex().encode()]
     for parent in node.parents:
-        lines.append(b"parent %s\n" % parent.hex.encode("ascii"))
-    lines.append(node.author.line(b"author"))
-    lines.append(node.committer.line(b"committer"))
+        lines.append(b"parent %s\n" % parent.raw.hex().encode())
+    author, committer = node.author, node.committer  # both lines in one format, no call each
+    lines.append((_PERSON_LINE * 2) % (
+        b"author", author.raw_person, author.seconds, author.utc_offset.encode(),
+        b"committer", committer.raw_person, committer.seconds, committer.utc_offset.encode(),
+    ))
     for key, value in node.extra_headers:
         lines.append(b"%s %s\n" % (key, _fold_header_value(value)))
     lines.append(b"\n")
@@ -285,7 +284,7 @@ def _revision_body(node: Revision) -> bytes:
 
 def _release_body(node: Release) -> bytes:
     lines = [
-        b"object %s\n" % node.target.hex.encode("ascii"),
+        b"object %s\n" % node.target.raw.hex().encode(),
         b"type %s\n" % _RELEASE_TARGET_TOKENS[node.target_type],
         b"tag %s\n" % node.name,
     ]
@@ -301,10 +300,7 @@ def _snapshot_body(node: Snapshot) -> bytes:
     for name in sorted(node.branches):
         branch = node.branches[name]
         payload = branch.payload
-        pieces.append(
-            b"%s %s\x00%d:%s"
-            % (branch.kind.value.encode("ascii"), name, len(payload), payload)
-        )
+        pieces.append(b"%s %s\x00%d:%s" % (branch.kind.value.encode(), name, len(payload), payload))
     return b"".join(pieces)
 
 
@@ -335,13 +331,11 @@ def manifest_of(node: DagNode) -> bytes:
 def object_id_of(node: DagNode) -> Tuple[ObjectType, ObjectId]:
     """Compute a node's type and intrinsic id."""
     manifest = manifest_of(node)
-    _, _, object_type = _SERIALIZERS[type(node)]
-    return object_type, ObjectId(hashlib.sha1(manifest).digest())
+    return _SERIALIZERS[type(node)][2], ObjectId(hashlib.sha1(manifest).digest())
 
 
 def swhid_of(node: DagNode) -> CoreSwhid:
-    object_type, object_id = object_id_of(node)
-    return CoreSwhid(object_type, object_id)
+    return CoreSwhid(*object_id_of(node))
 
 
 def content_id(node: Content) -> ObjectId:

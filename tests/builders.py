@@ -3,16 +3,19 @@
 Description documents: revision(), release() and snapshot() give one entry
 each, with fields that describe_nodes accepts unless a keyword changes or
 drops one (DROP), and person() gives a person's two fields; doc() writes
-the entries as a document. Test trees:
-write_tree() writes a node tuple to disk. Exports: export_object() writes
-an export of one object file, and trees_only() an export of a store's
-trees alone.
+the entries as a document. BUILT is a small document of every kind, and
+mutate() gives a copy of a document's entries with one of MUTATIONS.
+Test trees: write_tree() writes a node tuple to disk. Exports:
+export_object() writes an export of one object file, and trees_only() an
+export of a store's trees alone.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import random
 from pathlib import Path
 from typing import List
 
@@ -79,6 +82,90 @@ def person(key: str, who) -> dict:
 
 def doc(*entries) -> bytes:
     return json.dumps(list(entries)).encode()
+
+
+# A document with an entry of each kind, aliases and references among them
+# (forward and backward), and one extra header; and mutate()'s mutations.
+BUILT = (
+    snapshot(
+        {
+            "main": {"target_type": "revision", "target": "label:r1"},
+            "v1": {"target_type": "release", "target": "label:v1"},
+            "HEAD": {"target_type": "alias", "target": "main"},
+            "gone": None,
+        },
+        label="snap",
+    ),
+    release(label="v1", target="label:r1", target_type="revision", message="notes\n"),
+    revision(label="r1", parents=["label:r0"], extra_headers=[["encoding", "UTF-8"]]),
+    revision(label="r0", message="first\n"),
+)
+MUTATIONS = ("drop", "retype", "swap labels", "self reference", "cycle")
+_OTHER_TYPES = (None, True, 7, 1.5, "x", [], {})
+
+
+def _paths(value, path=()):
+    """The path of every value below value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _slots(entry) -> list:
+    """The paths of entry's id fields, which may hold a 'label:<name>' reference."""
+    if entry["type"] == "revision":
+        return [("tree",)] + [("parents", i) for i in range(len(entry["parents"]))]
+    if entry["type"] == "release":
+        return [("target",)]
+    branches = entry["branches"].items()
+    return [("branches", name, "target") for name, b in branches if b and b["target_type"] != "alias"]
+
+
+def mutate(entries: list, mutation: str, rng: random.Random) -> list:
+    """entries with one mutation at the JSON-value level; the entries it changes are copies."""
+    document = list(entries)
+
+    def take(index):
+        document[index] = copy.deepcopy(entries[index])
+        return document[index]
+
+    if mutation in ("drop", "retype"):
+        entry = take(rng.randrange(len(entries)))
+        paths = list(_paths(entry))
+        if mutation == "drop":  # a key of an object, not an item of a list
+            paths = [p for p in paths if isinstance(_at(entry, p[:-1]), dict)]
+        path = rng.choice(paths)
+        parent, old = _at(entry, path[:-1]), _at(entry, path)
+        if mutation == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice([v for v in _OTHER_TYPES if type(v) is not type(old)])
+        return document
+    referring = [i for i, entry in enumerate(entries) if entry.get("label") and _slots(entry)]
+    first, second = rng.sample(referring, 2)
+    a, b = take(first), take(second)
+    if mutation == "swap labels":
+        a["label"], b["label"] = b["label"], a["label"]
+    elif mutation == "self reference":
+        path = rng.choice(_slots(a))
+        _at(a, path[:-1])[path[-1]] = "label:" + a["label"]
+    else:  # a cycle: each names the other
+        for one, other in ((a, b), (b, a)):
+            path = rng.choice(_slots(one))
+            _at(one, path[:-1])[path[-1]] = "label:" + other["label"]
+    return document
 
 
 # What a true junk flag adds to a directory: a file and a directory that

@@ -1,10 +1,11 @@
-"""Compare `swhid identify`, `verify` and `resolve` children of this checkout with another revision's.
+"""Compare this checkout's CLI children and description realization with another revision's.
 
     python tests/differential.py --rev REV [--seeds 1,2]
 
 --rev extracts src/swhid at REV with `git archive` into a temporary
-directory. Each case runs one CLI child with PYTHONPATH set to each side's
-src, and compares exit code, stdout bytes and stderr.
+directory. Each identify, verify and resolve case runs one CLI child with
+PYTHONPATH set to each side's src, and compares exit code, stdout bytes and
+stderr.
 
 identify: the inputs are perfbench's seeded tree-many-small trees, one per
 seed (--seeds "" for none), and a small tree with names that are not UTF-8
@@ -27,15 +28,24 @@ one. The sides run one after the other, each on the same archive state,
 and the fetched file's bytes are compared too. Backoff waits are skipped
 in both children: they are no output.
 
+documents: in this process, with the --rev side's package imported as
+swhid_parent, realize_descriptions(describe_nodes(document)) of builders.BUILT,
+of each seed's perfbench history document, and of mutated copies of them
+(builders.mutate, seeded by their number): 1 000 of BUILT and 50 of each
+history document. The outcome is each id's text, or the exception's class
+name and text, location included.
+
 The script prints how many cases it compared per surface and the first
 differences, and exits 1 if there is any.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -49,7 +59,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids and the exports
 import gen  # noqa: E402
-from builders import trees_only, write_tree  # noqa: E402
+import swhid  # noqa: E402
+from builders import BUILT, MUTATIONS, doc, mutate, trees_only, write_tree  # noqa: E402
 from mockarchive import MockArchive  # noqa: E402
 from swhid.ingest import ingest_path  # noqa: E402
 
@@ -234,6 +245,53 @@ def compare_resolve(
     return results
 
 
+def import_parent(src: Path):
+    """The swhid package under src, imported afresh in this process as swhid_parent."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "swhid_parent"]:
+        del sys.modules[name]
+    package = src / "swhid"
+    spec = importlib.util.spec_from_file_location(
+        "swhid_parent", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["swhid_parent"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def documents(seeds: Sequence[int]) -> Iterator[Tuple[str, bytes]]:
+    """(name, document) of BUILT, of each seed's history document, and of their mutated copies."""
+    bases = [("built", list(BUILT), 1000)]  # each with how many mutated copies to compare
+    bases += [(f"history {seed}", json.loads(gen.history(seed).newest_first), 50) for seed in seeds]
+    for name, entries, copies in bases:
+        yield name, doc(*entries)
+        for number in range(copies):
+            mutation = MUTATIONS[number % len(MUTATIONS)]
+            mutated = mutate(entries, mutation, random.Random(number))
+            yield f"{name}, {mutation} {number}", doc(*mutated)
+
+
+def realized(package, document: bytes):
+    """The text of each id package realizes document to, or its exception's class name and text."""
+    try:
+        return [str(s) for s, _ in package.realize_descriptions(package.describe_nodes(document))]
+    except Exception as exc:  # a crash is an outcome to compare too
+        return type(exc).__name__, str(exc)
+
+
+def compare_documents(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
+    """(documents compared, a description of each difference) against parent_src's package."""
+    parent = import_parent(parent_src)
+    compared, differences = 0, []
+    for name, document in documents(seeds):
+        ours, theirs = realized(swhid, document), realized(parent, document)
+        compared += 1
+        if ours != theirs:
+            lines = f"documents {name}:\n  parent: {theirs!r:.300}\n  this:   {ours!r:.300}"
+            differences.append(lines)
+    return compared, differences
+
+
 def compare(
     parent_src: Path, seeds: Sequence[int], modes: Optional[Sequence[str]] = None
 ) -> Tuple[Dict[str, int], List[str]]:
@@ -243,7 +301,7 @@ def compare(
     """
     ours_src = ROOT / "src"
     differences: List[str] = []
-    counts = {"identify": 0, "verify": 0, "resolve": 0}
+    counts = {"identify": 0, "verify": 0, "resolve": 0, "documents": 0}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(3) as pool:
         work_dir = Path(work)
         # One thread runs the resolve cases in turn, while two run the other sides.
@@ -265,6 +323,8 @@ def compare(
             theirs, ours = pool.map(run, (parent_src, ours_src), [args] * 2, [work_dir] * 2)
             counts[surface] += 1
             differences += _differences(f"{surface} {' '.join(args[1:])!r}", ours, theirs)
+        counts["documents"], found = compare_documents(parent_src, seeds)
+        differences += found
         for label, ours, theirs in resolved.result():
             counts["resolve"] += 1
             differences += _differences(label, ours, theirs)

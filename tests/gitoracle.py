@@ -7,11 +7,14 @@ mktree.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
+import re
 import subprocess
+import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class GitOracle:
@@ -143,6 +146,25 @@ class GitOracle:
                 input_bytes=raw,
             )
         )
+
+    def fsck_verdict(self, manifests: Iterable[bytes]) -> List[str]:
+        """The message ids of what `git fsck --strict` finds wrong with manifests.
+
+        Each is written zlib'd as a loose object into a new bare repository,
+        as git writes objects; an empty list means git accepts them all.
+        """
+        repo = self.root / f"fsck-{next(self._counter)}.git"
+        self._git("init", "-q", "--bare", str(repo))
+        for manifest in manifests:
+            hexid = hashlib.sha1(manifest).hexdigest()
+            loose = repo / "objects" / hexid[:2] / hexid[2:]
+            loose.parent.mkdir(exist_ok=True)
+            loose.write_bytes(zlib.compress(manifest))
+        try:
+            self._git("--git-dir", str(repo), "fsck", "--strict", "--no-dangling")
+        except RuntimeError as exc:
+            return re.findall(r"error in \w+ [0-9a-f]{40}: (\w+):", str(exc))
+        return []
 
     def add_worktree_path(self, path: Path) -> str:
         """Stage a real file/symlink tree with git add; return its tree id.

@@ -625,6 +625,7 @@ def _no_backoff(monkeypatch):
         ("resolve_body", b" " * (2 << 20) + b"{}"),
         ("endless", True),
     ],
+    ids=["short_by", "resolve_body", "endless"],  # the 2 MiB value would be its id
 )
 def test_resolve_hostile_archive_exits_3(
     runner, archive, tmp_path, monkeypatch, mode, value

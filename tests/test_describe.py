@@ -1,5 +1,4 @@
 """Description documents: every schema error, pinned by message and location."""
-import copy
 import functools
 import json
 import random
@@ -23,7 +22,9 @@ from swhid.model import (
 )
 from swhid.syntax import ObjectId, ObjectType
 
-from builders import DROP, EMPTY_TREE, doc, person, release, revision, snapshot
+from builders import (
+    BUILT, DROP, EMPTY_TREE, MUTATIONS, doc, mutate, person, release, revision, snapshot
+)
 
 _SURROGATE = "string holds a lone surrogate, which UTF-8 cannot encode"
 
@@ -438,107 +439,25 @@ def test_described_history_matches_git(oracle):
 
 # --- mutated documents ----------------------------------------------------------
 
-_BUILT = (
-    snapshot(
-        {
-            "main": {"target_type": "revision", "target": "label:r1"},
-            "v1": {"target_type": "release", "target": "label:v1"},
-            "HEAD": {"target_type": "alias", "target": "main"},
-            "gone": None,
-        },
-        label="snap",
-    ),
-    release(label="v1", target="label:r1", target_type="revision", message="notes\n"),
-    revision(label="r1", parents=["label:r0"], extra_headers=[["encoding", "UTF-8"]]),
-    revision(label="r0", message="first\n"),
-)
-_MUTATIONS = ("drop", "retype", "swap labels", "self reference", "cycle")
-_OTHER_TYPES = (None, True, 7, 1.5, "x", [], {})
-
-
 @functools.lru_cache(maxsize=None)
 def _base(source: str):
     """The entries of a generated or built document, and the id each realizes to."""
-    data = gen.history(1).newest_first if source == "history" else doc(*_BUILT)
+    data = gen.history(1).newest_first if source == "history" else doc(*BUILT)
     return json.loads(data), [swhid for swhid, _ in realize_descriptions(describe_nodes(data))]
-
-
-def _paths(value, path=()):
-    """The path of every value below value."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, child in items:
-        yield path + (key,)
-        yield from _paths(child, path + (key,))
-
-
-def _at(value, path):
-    for key in path:
-        value = value[key]
-    return value
-
-
-def _slots(entry) -> list:
-    """The paths of entry's id fields, which may hold a 'label:<name>' reference."""
-    if entry["type"] == "revision":
-        return [("tree",)] + [("parents", i) for i in range(len(entry["parents"]))]
-    if entry["type"] == "release":
-        return [("target",)]
-    branches = entry["branches"].items()
-    return [("branches", name, "target") for name, b in branches if b and b["target_type"] != "alias"]
-
-
-def _mutate(entries: list, mutation: str, rng: random.Random) -> list:
-    """entries with one mutation at the JSON-value level; the entries it changes are copies."""
-    document = list(entries)
-
-    def take(index):
-        document[index] = copy.deepcopy(entries[index])
-        return document[index]
-
-    if mutation in ("drop", "retype"):
-        entry = take(rng.randrange(len(entries)))
-        paths = list(_paths(entry))
-        if mutation == "drop":  # a key of an object, not an item of a list
-            paths = [p for p in paths if isinstance(_at(entry, p[:-1]), dict)]
-        path = rng.choice(paths)
-        parent, old = _at(entry, path[:-1]), _at(entry, path)
-        if mutation == "drop":
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = rng.choice([v for v in _OTHER_TYPES if type(v) is not type(old)])
-        return document
-    referring = [i for i, entry in enumerate(entries) if entry.get("label") and _slots(entry)]
-    first, second = rng.sample(referring, 2)
-    a, b = take(first), take(second)
-    if mutation == "swap labels":
-        a["label"], b["label"] = b["label"], a["label"]
-    elif mutation == "self reference":
-        path = rng.choice(_slots(a))
-        _at(a, path[:-1])[path[-1]] = "label:" + a["label"]
-    else:  # a cycle: each names the other
-        for one, other in ((a, b), (b, a)):
-            path = rng.choice(_slots(one))
-            _at(one, path[:-1])[path[-1]] = "label:" + other["label"]
-    return document
 
 
 @settings(max_examples=20, deadline=None)
 @example(source="built", mutation="drop", seed=23)  # r1's extra header: r1, v1 and snap change
 @given(
     source=st.sampled_from(["built", "history"]),
-    mutation=st.sampled_from(_MUTATIONS),
+    mutation=st.sampled_from(MUTATIONS),
     seed=st.integers(0, 2**32),
 )
 def test_mutated_document_is_refused_or_realized_as_git_hashes_it(
     session_oracle, source, mutation, seed
 ):
     entries, ids = _base(source)
-    data = doc(*_mutate(entries, mutation, random.Random(seed)))
+    data = doc(*mutate(entries, mutation, random.Random(seed)))
     try:
         realized = realize_descriptions(describe_nodes(data))
     except (SchemaError, UnknownReferenceError):

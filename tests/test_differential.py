@@ -14,6 +14,6 @@ def test_harness_finds_no_difference_against_a_copy_of_itself(tmp_path):
     modes = ("ok", "refused CONNECT")
     counts, differences = differential.compare(tmp_path / "src", seeds=(), modes=modes)
     assert {surface: n > 0 for surface, n in counts.items()} == {
-        "identify": True, "verify": True, "resolve": True
+        "identify": True, "verify": True, "resolve": True, "documents": True
     }
     assert differences == []

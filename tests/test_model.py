@@ -592,6 +592,33 @@ def test_generated_revisions_match_git(
     _agrees_with_git(session_oracle, node, porcelain, reasons)
 
 
+# Each model-only input of the examples above, written as a loose object beside
+# its tree and parent, and git fsck --strict's verdict on it: git stores and
+# hashes all six, and its object check flags two of them.
+@pytest.mark.parametrize(
+    "author, committer, parent_count, message, verdict",
+    [
+        (("A", "a@x", 0, "-0000"), _A, 0, b"", []),
+        (_A, ("A", "a@x", 0, "+0099"), 0, b"", []),
+        (("A", "a@x", -5, "+0000"), _A, 0, b"", ["badDateOverflow"]),
+        (("A", None, 0, "+0000"), _A, 0, b"", ["missingEmail"]),
+        (_A, _A, 2, b"", []),
+        (_A, _A, 0, b"\xff\n", []),
+    ],
+    ids=["offset-0000", "offset+0099", "negative-seconds", "no-email", "parent-twice", "latin-1"],
+)
+def test_model_only_revision_inputs_have_a_pinned_fsck_verdict(
+    session_oracle, author, committer, parent_count, message, verdict
+):
+    assert _model_only([author, committer], [0] * parent_count, message)
+    tree = Directory()
+    parent = Revision(directory_id(tree), [], _stamp(_A), _stamp(_A), b"parent\n")
+    parents = [revision_id(parent)] * parent_count
+    node = Revision(directory_id(tree), parents, _stamp(author), _stamp(committer), message)
+    objects = [manifest_of(tree), manifest_of(parent), manifest_of(node)]
+    assert session_oracle.fsck_verdict(objects) == verdict
+
+
 @settings(max_examples=15, deadline=None)
 @example(name="v1", message=b"", tagger=("A", "a@x", 0, "-0000"))
 @example(name="v1", message=b"", tagger=("A", None, -5, "+0000"))

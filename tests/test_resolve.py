@@ -69,6 +69,11 @@ def test_archive_api_url():
     )
 
 
+def test_resolver_url_refuses_a_kind_it_does_not_know():
+    with pytest.raises(ValueError, match="unknown resolver kind 'n2t'"):
+        resolver_url(parse(CNT), "n2t")  # the value, not ResolverKind.N2T
+
+
 def test_resolver_config_overrides():
     config = ResolverConfig(archive_url="https://mirror.example.org/")
     assert resolver_url(parse(CNT), ResolverKind.ARCHIVE_WEB, config) == (
@@ -737,3 +742,41 @@ def test_unholdable_declared_length_exits_3(tmp_path, length, chunks):
     assert child.stderr.startswith("swhid: GET ")
     assert "Traceback" not in child.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _fetch_scripted(render) -> bytes:
+    """fetch_content_verified's bytes from a _Scripted server answering with render."""
+    server = _Scripted(render)
+    try:
+        return fetch_content_verified(
+            SCRIPTED_ID, server.endpoint, timeout=2.0, retries=0, sleep=lambda _: None
+        )
+    finally:
+        server.close()
+
+
+def test_trailer_lines_after_the_last_chunk_are_dropped():
+    def render(body: bytes, base: str) -> bytes:
+        head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        return head + b"%x\r\n%s\r\n0\r\nX-Checksum: 1\r\nX-Other: 2\r\n\r\n" % (len(body), body)
+
+    assert _fetch_scripted(render) == SCRIPTED
+
+
+def test_a_fresh_connection_closed_before_its_head_is_a_transport_error():
+    # A pooled connection would be replaced and the request sent again; a fresh one is not.
+    with pytest.raises(TransportError, match="Remote end closed connection without response"):
+        _fetch_scripted(lambda body, base: b"")
+
+
+def test_a_proxy_given_as_host_port_speaks_the_target_scheme(archive, monkeypatch):
+    for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("http_proxy", archive.endpoint.split("://", 1)[1])  # no scheme
+    swhid = archive.add_content(b"proxied\n")
+    try:
+        metadata = resolve_metadata(swhid, "http://archive.invalid", retries=0)
+    finally:
+        _close_idle()
+    assert metadata.swhid == swhid
+    assert archive.proxied == 1

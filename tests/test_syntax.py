@@ -214,6 +214,7 @@ def test_object_id_constructors():
         ObjectId.from_hex(HEX.replace("9", "x"))
     with pytest.raises(ValueError):
         ObjectId(b"short")
+    assert str(ObjectId.from_hex(HEX)) == HEX
 
 
 def test_core_swhid_rejects_other_versions():
