@@ -307,7 +307,12 @@ def realize_descriptions(
     document order. Nodes are added to store when one is given.
     """
     # Kahn's algorithm: a description is ready once every label it names is realized.
-    rows = [_KINDS[d.kind] for d in descriptions]
+    try:
+        rows = [_KINDS[d.kind] for d in descriptions]
+    except KeyError:
+        index = next(i for i, d in enumerate(descriptions) if d.kind not in _KINDS)
+        message = f"cannot realize a node of kind {descriptions[index].kind!r}"
+        raise SchemaError(message, f"$[{index}]") from None
     waiting = [set(_references(d.fields, row[2])) for d, row in zip(descriptions, rows)]
     pending = [len(needed) for needed in waiting]  # labels not realized yet, per description
     dependents: Dict[str, List[int]] = {}

@@ -5,7 +5,8 @@ each, with fields that describe_nodes accepts unless a keyword changes or
 drops one (DROP), and person() gives a person's two fields; doc() writes
 the entries as a document. BUILT is a small document of every kind, and
 mutate() gives a copy of a document's entries with one of MUTATIONS.
-Test trees: write_tree() writes a node tuple to disk. Exports:
+Test trees: write_tree() writes a node tuple to disk, such as ODD_NAMES, a
+small tree of names that are not UTF-8 or that JSON escapes. Exports:
 export_object() writes an export of one object file, and trees_only() an
 export of a store's trees alone.
 """
@@ -196,6 +197,30 @@ def write_tree(path: bytes, node) -> List[bytes]:
     for name, child in children.items():
         added += write_tree(os.path.join(path, name), child)
     return added
+
+
+# Names that are not UTF-8, that JSON escapes, or that hold control or astral
+# characters; its flags add *.tmp junk.
+ODD_NAMES = ("dir", {
+    b"caf\xe9.txt": ("file", b"latin-1 name\n", False),
+    b"\xff\xfe": ("file", b"", False),
+    b'quote"d': ("file", b"q\n", False),
+    b"back\\slash": ("file", b"b\n", False),
+    b"tab\there": ("file", b"t\n", False),
+    b"new\nline": ("file", b"n\n", False),
+    b"ctl\x01\x1f": ("file", b"c\n", False),
+    "snow \u2603 caf\u00e9 \U0001f600".encode(): ("file", b"s\n", False),
+    b"d\xe9": ("dir", {
+        b"inner.txt": ("file", b"inner\n", False),
+        b"run.sh": ("file", b"#!/bin/sh\n", True),
+        b"up": ("link", b"../\xff\xfe"),
+    }, True),
+    b"nested": ("dir", {b"a": ("dir", {b"b": ("dir", {
+        b"c d": ("file", b"deep\n", False),
+    }, False)}, False)}, False),
+    b"link\xe9": ("link", b"caf\xe9.txt"),
+    b"dangling": ("link", b"nowhere"),
+}, True)
 
 
 def export_object(root: Path, manifest: bytes, hexid: str = "") -> str:

@@ -3,30 +3,25 @@
     python tests/differential.py --rev REV [--seeds 1,2]
 
 --rev extracts src/swhid at REV with `git archive` into a temporary
-directory. Each identify, verify and resolve case runs one CLI child with
-PYTHONPATH set to each side's src, and compares exit code, stdout bytes and
+directory. Each CLI case runs one child per side, with PYTHONPATH set to
+that side's src, and the two are compared by exit code, stdout bytes and
 stderr.
 
-identify: the inputs are perfbench's seeded tree-many-small trees, one per
-seed (--seeds "" for none), and a small tree with names that are not UTF-8
-or that JSON escapes. The cases cover text and --json, --recursive,
---exclude '*.tmp', two paths, file and symlink roots, and a last path that
-is missing or of the wrong --type.
+contract: every row of tests/contract.py. A row runs in a directory of its
+own, which its fixture fills once for both sides; a file the command leaves
+there is compared too, and removed between the sides. Rows with archive
+settings run one after the other against one MockArchive
+(tests/mockarchive.py), set up afresh for each child. The rows over
+builders.ODD_NAMES run again over perfbench's seeded tree-many-small tree
+of each seed (--seeds "" for none), into which the two entries those rows
+name are added.
 
-verify: `verify [--json] --exclude '*.tmp'` of each of those trees and of a
-changed copy (perfbench's seeded edits on a hard-link copy, or one edited
-file in a copy of the small tree), with no reference, with --objects of a
-full export (ingest_path, then ObjectStore.save) and with --objects of an
-export of its trees alone. The identifier and both exports come from this
-checkout.
-
-resolve: `resolve --check --fetch FILE [--json]` against one MockArchive
-(tests/mockarchive.py) that is ok, lacks the id, corrupts it, fails with
-500s first, redirects, cuts the body short, serves oversized or non-JSON
-metadata, or serves as the http proxy, or refuses the CONNECT of an https
-one. The sides run one after the other, each on the same archive state,
-and the fetched file's bytes are compared too. Backoff waits are skipped
-in both children: they are no output.
+verify: `verify [--json] --exclude '*.tmp'` of the ODD_NAMES tree and of
+each seeded tree, and of a changed copy of each (perfbench's seeded edits
+on a hard-link copy, or one edited file in a copy of the small tree), with
+no reference, with --objects of a full export (ingest_path, then
+ObjectStore.save) and with --objects of an export of its trees alone. The
+identifier and both exports come from this checkout.
 
 documents: in this process, with the --rev side's package imported as
 swhid_parent, realize_descriptions(describe_nodes(document)) of builders.BUILT,
@@ -41,11 +36,14 @@ differences, and exits 1 if there is any.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import importlib.util
 import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -60,16 +58,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids and the exports
 import gen  # noqa: E402
 import swhid  # noqa: E402
-from builders import BUILT, MUTATIONS, doc, mutate, trees_only, write_tree  # noqa: E402
+from builders import BUILT, MUTATIONS, ODD_NAMES, doc, mutate, trees_only, write_tree  # noqa: E402
+from contract import ROWS, SETTINGS, Outcome, Row, child, odd, run, serve  # noqa: E402
 from mockarchive import MockArchive  # noqa: E402
 from swhid.ingest import ingest_path  # noqa: E402
 
-Outcome = Tuple[int, bytes, bytes]
 EXCLUDE = ["--exclude", "*.tmp"]
-FETCHED = "fetched.bin"
-# The archive settings the resolve cases change, restored before each child.
-SETTINGS = ("corrupt_every", "fail_raw", "fail_resolve", "redirect_to", "resolve_body", "short_by")
-WITHOUT_BACKOFF = "import time; time.sleep = lambda s: None\nfrom swhid.cli import main\nmain()"
+# A traceback's frame lines, each with the source lines indented below it.
+FRAMES = re.compile(rb"^  (?:File .*|\[Previous line repeated \d+ more times\])\n(?:    .*\n)*", re.M)
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -86,52 +82,6 @@ def extract(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-# A small tree of names that are not UTF-8 or need JSON escapes; its flags add *.tmp junk.
-ODD_NAMES = ("dir", {
-    b"caf\xe9.txt": ("file", b"latin-1 name\n", False),
-    b"\xff\xfe": ("file", b"", False),
-    b'quote"d': ("file", b"q\n", False),
-    b"back\\slash": ("file", b"b\n", False),
-    b"tab\there": ("file", b"t\n", False),
-    b"new\nline": ("file", b"n\n", False),
-    "snow ☃ café".encode(): ("file", b"s\n", False),
-    b"d\xe9": ("dir", {
-        b"inner.txt": ("file", b"inner\n", False),
-        b"run.sh": ("file", b"#!/bin/sh\n", True),
-        b"up": ("link", b"../\xff\xfe"),
-    }, True),
-    b"nested": ("dir", {b"a": ("dir", {b"b": ("dir", {
-        b"c d": ("file", b"deep\n", False),
-    }, False)}, False)}, False),
-    b"link\xe9": ("link", b"caf\xe9.txt"),
-    b"dangling": ("link", b"nowhere"),
-}, True)
-
-
-def cases(root: str, file: str, link: str) -> Iterator[List[str]]:
-    """identify's arguments for one tree, given one of its files and symlinks."""
-    missing = os.path.join(root, "missing")
-    yield [root]
-    yield ["--json", root]
-    yield ["--recursive", root]
-    yield ["--recursive", *EXCLUDE, root]
-    yield ["--recursive", "--json", *EXCLUDE, root]
-    yield ["--recursive", *EXCLUDE, root, file]
-    yield ["--recursive", "--json", *EXCLUDE, file, root]
-    yield ["--recursive", "--json", link]
-    yield [file, link]
-    yield ["--recursive", *EXCLUDE, root, missing]
-    yield ["--recursive", "--json", *EXCLUDE, root, missing]
-    yield ["--type", "dir", "--recursive", *EXCLUDE, root, file]
-    yield ["--type", "cnt", "--json", file, root]
-
-
-def child_env(src: Path) -> dict:
-    """The environment of a child of src: PYTHONPATH set, and no *_proxy variables."""
-    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
-    return dict(env, PYTHONPATH=str(src))
-
-
 def verify_cases(work_dir: Path, name: str, changed: str) -> List[List[str]]:
     """verify's arguments for the tree name and its changed copy, after writing both exports."""
     root_id, store = ingest_path(work_dir / name, ("*.tmp",))
@@ -146,57 +96,50 @@ def verify_cases(work_dir: Path, name: str, changed: str) -> List[List[str]]:
     ]
 
 
-def run(src: Path, args: Sequence[str], cwd: Path) -> Outcome:
-    env = child_env(src)
-    child = subprocess.run(
-        [sys.executable, "-m", "swhid.cli", *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        timeout=300,
-    )
-    return child.returncode, child.stdout, child.stderr
+def seeded(tree: gen.Tree):
+    """A fixture like contract.odd, with a hard-link copy of tree, plus the entries the rows name."""
+
+    def fixture(root: Path) -> None:
+        gen.link_copy(tree, root / "tree")
+        for name in (b"caf\xe9.txt", b"link\xe9"):
+            write_tree(os.path.join(os.fsencode(root), b"tree", name), ODD_NAMES[1][name])
+
+    return fixture
 
 
-def resolve_cases(archive: MockArchive) -> Iterator[Tuple[str, List[str], dict, dict]]:
-    """(name, resolve's arguments, *_proxy variables, archive settings) of each resolve case."""
-    known = str(archive.add_content(b"the payload\n"))
-    unknown = "swh:1:cnt:" + "0" * 40
-    payload = json.dumps(archive.metadata[known]).encode()
-    base = archive.endpoint
-    fetch = ["--check", "--fetch", FETCHED, "--endpoint", base]
-    yield "ok", [*fetch, known], {}, {}
-    yield "ok --json", ["--json", *fetch, known], {}, {}
-    yield "unknown", [*fetch, unknown], {}, {}
-    yield "corrupted", [*fetch, known], {}, {"corrupt_every": 1}
-    yield "500s then ok", [*fetch, known], {}, {"fail_resolve": 1, "fail_raw": 2}
-    yield "redirect", [*fetch[:-1], base + "/old", known], {}, {"redirect_to": base}
-    yield "short body", [*fetch, known], {}, {"short_by": 10}
-    yield "short body --json", ["--json", *fetch, known], {}, {"short_by": 10}
-    oversized = payload + b" " * (1 << 20)
-    yield "oversized metadata", [*fetch, known], {}, {"resolve_body": oversized}
-    yield "non-JSON metadata", [*fetch, known], {}, {"resolve_body": b"<html>not json</html>"}
-    proxied = [*fetch[:-1], "http://archive.invalid", known]
-    yield "http proxy", proxied, {"http_proxy": base}, {}
-    tunnelled = ["--check", "--endpoint", "https://archive.invalid", known]
-    yield "refused CONNECT", tunnelled, {"https_proxy": base}, {}
+def side(src: Path, argv, env, stdin, cwd: Path) -> Outcome:
+    """contract.child's outcome, any traceback in it without its frames.
+
+    The frames name each side's own source file and line, which differ
+    whenever the source does.
+    """
+    code, stdout, stderr = child(src, argv, env, stdin, cwd)
+    return code, stdout, FRAMES.sub(b"", stderr)
 
 
-def run_resolve(src: Path, args: Sequence[str], proxies: dict, cwd: Path) -> Outcome:
-    """One resolve child's outcome, with the fetched file's bytes appended to its stdout."""
-    child = subprocess.run(
-        [sys.executable, "-c", WITHOUT_BACKOFF, "resolve", *args],
-        cwd=cwd,
-        env=dict(child_env(src), **proxies),
-        capture_output=True,
-        timeout=300,
-    )
-    fetched = cwd / FETCHED
-    stdout = child.stdout
-    if fetched.exists():
-        stdout += b"\n--- " + FETCHED.encode() + b" ---\n" + fetched.read_bytes()
-        fetched.unlink()
-    return child.returncode, stdout, child.stderr
+def compare_row(row: Row, root: Path, sides: Sequence[Path], archive=None, defaults=None):
+    """row's outcome on each side, in root, which row's fixture fills once."""
+    root.mkdir()
+    if row.fixture is not None:
+        row.fixture(root)
+    outcomes = []
+    for src in sides:
+        endpoint = None
+        if row.archive is not None:
+            serve(archive, row.archive, defaults)
+            endpoint = archive.endpoint
+        outcomes.append(run(row, root, endpoint, functools.partial(side, src, cwd=root)))
+    return outcomes
+
+
+def compare_served(rows: Sequence[Row], roots: Sequence[Path], sides: Sequence[Path]):
+    """compare_row of each row, in turn, against one MockArchive."""
+    archive = MockArchive()
+    defaults = {name: getattr(archive, name) for name in SETTINGS}
+    try:
+        return [compare_row(row, root, sides, archive, defaults) for row, root in zip(rows, roots)]
+    finally:
+        archive.close()
 
 
 def _first_difference(name: str, ours: bytes, theirs: bytes) -> str:
@@ -220,29 +163,6 @@ def _differences(label: str, ours: Outcome, theirs: Outcome) -> List[str]:
         if ours[i] != theirs[i]:
             lines.append(_first_difference(name, ours[i], theirs[i]))
     return ["\n".join(lines)]
-
-
-def compare_resolve(
-    parent_src: Path, cwd: Path, modes: Optional[Sequence[str]] = None
-) -> List[Tuple[str, Outcome, Outcome]]:
-    """(label, this side's outcome, the parent's) of the resolve cases named (all by default)."""
-    cwd.mkdir()
-    archive = MockArchive()
-    defaults = {name: getattr(archive, name) for name in SETTINGS}
-    results = []
-    try:
-        for name, args, proxies, state in resolve_cases(archive):
-            if modes is not None and name not in modes:
-                continue
-            outcomes = []
-            for src in (parent_src, ROOT / "src"):
-                for key, value in {**defaults, **state}.items():
-                    setattr(archive, key, value)
-                outcomes.append(run_resolve(src, args, proxies, cwd))
-            results.append((f"resolve {name}", outcomes[1], outcomes[0]))
-    finally:
-        archive.close()
-    return results
 
 
 def import_parent(src: Path):
@@ -297,37 +217,53 @@ def compare(
 ) -> Tuple[Dict[str, int], List[str]]:
     """({surface: cases compared}, a description of each difference) against parent_src.
 
-    modes names the resolve cases to run; all of them by default.
+    modes names the contract rows to run, by id; all of them by default.
     """
-    ours_src = ROOT / "src"
+    sides = (parent_src, ROOT / "src")
     differences: List[str] = []
-    counts = {"identify": 0, "verify": 0, "resolve": 0, "documents": 0}
+    counts = {"contract": 0, "verify": 0, "documents": 0}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(3) as pool:
         work_dir = Path(work)
-        # One thread runs the resolve cases in turn, while two run the other sides.
-        resolved = pool.submit(compare_resolve, parent_src, work_dir / "resolve", modes)
         write_tree(os.fsencode(work_dir / "odd"), ODD_NAMES)
         shutil.copytree(work_dir / "odd", work_dir / "odd-changed", symlinks=True)
         (work_dir / "odd-changed" / os.fsdecode(b"d\xe9/inner.txt")).write_bytes(b"edited\n")
-        trees = [("odd", os.fsdecode(b"odd/caf\xe9.txt"), os.fsdecode(b"odd/link\xe9"))]
+        chosen = [row for row in ROWS if modes is None or row.id in modes]
+        rows, trees = list(chosen), ["odd"]
         for seed in seeds:
             name = f"seed{seed}"
             tree = gen.many_small_tree(seed, work_dir / name)
             gen.mutate(gen.link_copy(tree, work_dir / f"{name}-changed"), seed)
-            trees.append((name, f"{name}/{tree.files[0]}", f"{name}/{tree.links[0]}"))
-        children = []
-        for name, file, link in trees:
-            children += [("identify", ["identify", *args]) for args in cases(name, file, link)]
-            children += [("verify", args) for args in verify_cases(work_dir, name, f"{name}-changed")]
-        for surface, args in children:
-            theirs, ours = pool.map(run, (parent_src, ours_src), [args] * 2, [work_dir] * 2)
+            trees.append(name)
+            rows += [
+                dataclasses.replace(row, id=f"{row.id} {name}", fixture=seeded(tree))
+                for row in chosen
+                if row.fixture is odd
+            ]
+        roots = [work_dir / "contract" / str(i) for i in range(len(rows))]
+        (work_dir / "contract").mkdir()
+        # One thread runs the rows with archive settings in turn, while two run the rest.
+        served = [i for i, row in enumerate(rows) if row.archive is not None]
+        served_job = pool.submit(
+            compare_served, [rows[i] for i in served], [roots[i] for i in served], sides
+        )
+        pending = [
+            ("contract", row.id, pool.submit(compare_row, row, root, sides))
+            for row, root in zip(rows, roots)
+            if row.archive is None
+        ]
+
+        def both(args):  # a verify case's outcome on each side
+            return [side(src, args, {}, None, work_dir) for src in sides]
+
+        for name in trees:
+            cases = verify_cases(work_dir, name, f"{name}-changed")
+            pending += [("verify", " ".join(args[1:]), pool.submit(both, args)) for args in cases]
+        counts["documents"], differences = compare_documents(parent_src, seeds)
+        results = [(surface, label, job.result()) for surface, label, job in pending]
+        results += [("contract", rows[i].id, pair) for i, pair in zip(served, served_job.result())]
+        for surface, label, (theirs, ours) in results:
             counts[surface] += 1
-            differences += _differences(f"{surface} {' '.join(args[1:])!r}", ours, theirs)
-        counts["documents"], found = compare_documents(parent_src, seeds)
-        differences += found
-        for label, ours, theirs in resolved.result():
-            counts["resolve"] += 1
-            differences += _differences(label, ours, theirs)
+            differences += _differences(f"{surface} {label!r}", ours, theirs)
     return counts, differences
 
 

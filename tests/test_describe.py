@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import hash_texts
 
 from swhid.errors import ExitStatus, ModelError, SchemaError, UnknownReferenceError
-from swhid.describe import describe_nodes, realize_descriptions
+from swhid.describe import NodeDescription, describe_nodes, realize_descriptions
 from swhid.ingest import ObjectStore
 from swhid.model import (
     BranchTarget,
@@ -370,6 +370,17 @@ def test_realize_reports_unresolvable_labels():
     descriptions = describe_nodes(document)
     with pytest.raises(UnknownReferenceError):
         realize_descriptions(descriptions)
+
+
+@pytest.mark.parametrize("kind", [ObjectType.CONTENT, ObjectType.DIRECTORY, "content"])
+def test_realize_refuses_a_kind_it_cannot_build(kind):
+    descriptions = [*describe_nodes(doc(revision())), NodeDescription(kind, None, {"data": b"x"})]
+    with pytest.raises(SchemaError) as excinfo:
+        realize_descriptions(descriptions)
+    assert (excinfo.value.location, str(excinfo.value)) == (
+        "$[1]", f"$[1]: cannot realize a node of kind {kind!r}"
+    )
+
 
 # Documents describe_nodes accepts but a model constructor refuses while
 # realize_descriptions builds the entry.

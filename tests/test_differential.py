@@ -10,10 +10,14 @@ def test_harness_finds_no_difference_against_a_copy_of_itself(tmp_path):
         tmp_path / "src" / "swhid",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    # Two resolve cases keep the test fast; the script runs all twelve.
-    modes = ("ok", "refused CONNECT")
+    # A handful of contract rows keeps the test fast; the script runs them all.
+    modes = (
+        "identify-odd-exclude-json", "parse-json", "extract-lines-pipe", "resolve-check-fetch",
+        "resolve-refused-connect",
+    )
     counts, differences = differential.compare(tmp_path / "src", seeds=(), modes=modes)
+    assert counts["contract"] == len(modes)
     assert {surface: n > 0 for surface, n in counts.items()} == {
-        "identify": True, "verify": True, "resolve": True, "documents": True
+        "contract": True, "verify": True, "documents": True
     }
     assert differences == []

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import fnmatch
 import os
@@ -166,6 +167,11 @@ def test_collect_reports_children_before_parents(tmp_path):
     by_rel = dict(collected)
     assert by_rel["entry"].object_type is ObjectType.CONTENT
     assert by_rel["src"].object_type is ObjectType.DIRECTORY
+    # A file or symlink root gives one row, its own.
+    for leaf in ("run.sh", "entry"):
+        collected = []
+        swhid, _ = ingest_path(root / leaf, collect=collected)
+        assert collected == [("", swhid)] and swhid == by_rel[leaf]
 
 
 def test_parallel_ingest_matches_serial(tmp_path):
@@ -454,41 +460,67 @@ def test_ingest_refuses_an_ancestor_moved_while_closed(tmp_path, monkeypatch):
 
 
 def test_errors_below_the_root_name_absolute_paths(tmp_path, monkeypatch):
-    proj = tmp_path / "proj"
-    (proj / "sub" / "closed").mkdir(parents=True)
-    os.mkfifo(proj / "sub" / "pipe")
-    (proj / "sub" / "locked").write_bytes(b"secret")
-    refused = {"closed", "locked"}
-    real_open, real_scandir = os.open, os.scandir
+    sub = tmp_path / "proj" / "sub"
+    (sub / "closed").mkdir(parents=True)
+    (sub / "listless").mkdir()
+    (sub / "locked").write_bytes(b"secret")
+    (sub / "untyped").write_bytes(b"")
+    os.symlink("locked", sub / "link")
+    os.mkfifo(sub / "pipe")
+    # Each round refuses one entry fewer, in the order the walk meets them:
+    # untyped as sub is listed, then the entries by name.
+    denied = "Permission denied"
+    rounds = [
+        ("untyped", denied), ("closed", denied), ("link", denied), ("listless", denied),
+        ("locked", denied), ("pipe", "not a regular file, directory, or symlink"),
+    ]
+    refused = set()
+    listless = os.stat(sub / "listless").st_ino
+    real_open, real_readlink, real_scandir = os.open, os.readlink, os.scandir
 
-    def refusing(real):
-        # Tests run as root, where permission bits don't bite; refuse the
-        # open or listing of these names, given in full or bare.
-        def call(path, *args, **kwargs):
-            if not isinstance(path, int) and os.path.basename(path) in refused:
-                raise PermissionError(13, "Permission denied")
-            return real(path, *args, **kwargs)
+    class Untyped:  # a listed entry whose type cannot be read
+        name = "untyped"
 
-        return call
+        def is_dir(self, follow_symlinks=True):
+            raise PermissionError(13, denied)
 
-    monkeypatch.setattr(os, "open", refusing(real_open))
-    monkeypatch.setattr(os, "scandir", refusing(real_scandir))
+    # Tests run as root, where permission bits don't bite: refuse the open of
+    # closed and locked, the readlink of link, and the listing of listless's fd.
+    def opening(path, *args, **kwargs):
+        if os.path.basename(path) in refused - {"listless"}:
+            raise PermissionError(13, denied)
+        return real_open(path, *args, **kwargs)
+
+    def readlink(path, *args, **kwargs):
+        if os.fsdecode(os.path.basename(path)) in refused:
+            raise PermissionError(13, denied)
+        return real_readlink(path, *args, **kwargs)
+
+    def scandir(fd):
+        if "listless" in refused and os.fstat(fd).st_ino == listless:
+            raise PermissionError(13, denied)
+        with real_scandir(fd) as listed:
+            entries = [Untyped() if e.name in refused & {"untyped"} else e for e in listed]
+        return contextlib.nullcontext(entries)
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "readlink", readlink)
+    monkeypatch.setattr(os, "scandir", scandir)
     monkeypatch.chdir(tmp_path)
-    # However the root is given, an entry below it is named by its absolute path.
-    where = f"{tmp_path}/proj/sub"
-    for given in ("proj", "proj/", str(proj)):
-        with pytest.raises(UnreadableError) as excinfo:
-            ingest_path(given)
-        assert str(excinfo.value) == f"{where}/closed: Permission denied"
-        refused.discard("closed")
-        with pytest.raises(UnreadableError) as excinfo:
-            ingest_path(given)
-        assert str(excinfo.value) == f"{where}/locked: Permission denied"
-        refused.discard("locked")
-        with pytest.raises(UnsupportedNodeKindError) as excinfo:
-            ingest_path(given)
-        assert str(excinfo.value) == f"{where}/pipe: not a regular file, directory, or symlink"
-        refused.update(("closed", "locked"))
+    # However the root is given, an entry below it is named by its absolute path,
+    # and identify exits 3 with that message alone.
+    for given in ("proj", "proj/", str(tmp_path / "proj")):
+        refused.update(name for name, _ in rounds)
+        for name, reason in rounds:
+            message = f"{sub}/{name}: {reason}"
+            error = UnsupportedNodeKindError if name == "pipe" else UnreadableError
+            with pytest.raises(error) as excinfo:
+                ingest_path(given)
+            assert str(excinfo.value) == message
+            result = CliRunner().invoke(main, ["identify", given])
+            assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"swhid: {message}\n")
+            assert isinstance(result.exception, SystemExit)
+            refused.discard(name)
 
 
 def _walk_excluding(root: Path, patterns) -> set:
