@@ -12,7 +12,7 @@ holds PAYLOAD and has those attributes set; the others have no archive.
 A row's outcome is its exit code, its stdout with each file that the
 command left in the directory appended (and removed), and its stderr. Its
 expected stdout and stderr are exact bytes or a named predicate,
-predicate(data, argv, directory).
+predicate(data, directory).
 
 test_cli.py runs a row in its own process, unless the row has stdin or
 *_proxy variables: swhid.transport keeps the proxy settings it first read
@@ -39,7 +39,7 @@ from builders import ODD_NAMES, export_object, write_tree
 from swhid.ingest import ingest_path
 
 Outcome = Tuple[int, bytes, bytes]
-Predicate = Callable[[bytes, Sequence[str], Path], bool]
+Predicate = Callable[[bytes, Path], bool]
 # The archive settings a row may change; each child starts from their defaults.
 SETTINGS = (
     "corrupt_every", "fail_raw", "fail_resolve", "redirect_to", "resolve_body", "short_by",
@@ -192,25 +192,16 @@ def identify_reference(paths, excludes, recursive: bool, as_json: bool, cwd=".")
     return (json.dumps(dicts, indent=2) + "\n").encode()
 
 
-def ingest_path_rows(data: bytes, argv: Sequence[str], root: Path) -> bool:
-    """identify's stdout is identify_reference's for the paths and options of argv."""
-    paths, excludes, flags = [], [], set()
-    args = iter(argv[1:])
-    for arg in args:
-        if arg in ("--exclude", "--type", "--jobs"):
-            value = next(args)
-            if arg == "--exclude":
-                excludes.append(value)
-        elif arg == "--":
-            paths += args
-        elif arg.startswith("--"):
-            flags.add(arg)
-        else:
-            paths.append(arg)
-    return data == identify_reference(paths, excludes, "--recursive" in flags, "--json" in flags, root)
+def rows_of(paths, excludes=(), recursive=False, as_json=False) -> Predicate:
+    """A predicate: identify's stdout is identify_reference's for these inputs."""
+
+    def ingest_path_rows(data: bytes, root: Path) -> bool:
+        return data == identify_reference(paths, excludes, recursive, as_json, root)
+
+    return ingest_path_rows
 
 
-def usage_error(data: bytes, argv: Sequence[str], root: Path) -> bool:
+def usage_error(data: bytes, root: Path) -> bool:
     """argparse's refusal: its usage text, then a last line "swhid[ COMMAND]: error: ..."."""
     last = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
     return data.startswith(b"usage: swhid") and re.match(rb"swhid( [a-z-]+)?: error: ", last) is not None
@@ -260,7 +251,7 @@ def child(src: Path, argv: Sequence[str], env: Mapping[str, str], stdin, cwd: Pa
 
 # --- the rows -------------------------------------------------------------------------
 
-EXCLUDE_TMP = "--recursive --exclude '*.tmp'"
+EXCLUDE_TMP, TMP = "--recursive --exclude '*.tmp'", ["*.tmp"]
 NOT_FOUND = b"swhid: tree/missing: no such file or directory\n"
 # identify --recursive --json --exclude build t, of the small fixture.
 T_ROWS_JSON = (
@@ -335,20 +326,23 @@ def _verify_detail(as_json: bool) -> bytes:
 
 ROWS: List[Row] = [
     # identify over builders.ODD_NAMES; the harness runs these over its seeded trees too.
-    row("identify-odd", "identify tree", 0, ingest_path_rows, fixture=odd),
-    row("identify-odd-json", "identify --json tree", 0, ingest_path_rows, fixture=odd),
-    row("identify-odd-recursive", "identify --recursive tree", 0, ingest_path_rows, fixture=odd),
-    row("identify-odd-exclude", f"identify {EXCLUDE_TMP} tree", 0, ingest_path_rows, fixture=odd),
-    row("identify-odd-exclude-json", f"identify --json {EXCLUDE_TMP} tree", 0, ingest_path_rows,
+    row("identify-odd", "identify tree", 0, rows_of(["tree"]), fixture=odd),
+    row("identify-odd-json", "identify --json tree", 0, rows_of(["tree"], as_json=True),
         fixture=odd),
+    row("identify-odd-recursive", "identify --recursive tree", 0,
+        rows_of(["tree"], recursive=True), fixture=odd),
+    row("identify-odd-exclude", f"identify {EXCLUDE_TMP} tree", 0,
+        rows_of(["tree"], TMP, recursive=True), fixture=odd),
+    row("identify-odd-exclude-json", f"identify --json {EXCLUDE_TMP} tree", 0,
+        rows_of(["tree"], TMP, recursive=True, as_json=True), fixture=odd),
     row("identify-odd-and-file", f"identify {EXCLUDE_TMP} tree tree/caf\udce9.txt", 0,
-        ingest_path_rows, fixture=odd),
+        rows_of(["tree", "tree/caf\udce9.txt"], TMP, recursive=True), fixture=odd),
     row("identify-file-and-odd-json", f"identify --json {EXCLUDE_TMP} tree/caf\udce9.txt tree", 0,
-        ingest_path_rows, fixture=odd),
+        rows_of(["tree/caf\udce9.txt", "tree"], TMP, recursive=True, as_json=True), fixture=odd),
     row("identify-odd-link-json", "identify --recursive --json tree/link\udce9", 0,
-        ingest_path_rows, fixture=odd),
+        rows_of(["tree/link\udce9"], recursive=True, as_json=True), fixture=odd),
     row("identify-odd-file-and-link", "identify tree/caf\udce9.txt tree/link\udce9", 0,
-        ingest_path_rows, fixture=odd),
+        rows_of(["tree/caf\udce9.txt", "tree/link\udce9"]), fixture=odd),
     row("identify-odd-then-missing", f"identify {EXCLUDE_TMP} tree tree/missing", 3,
         stderr=NOT_FOUND, fixture=odd),
     row("identify-odd-then-missing-json", f"identify --json {EXCLUDE_TMP} tree tree/missing", 3,
@@ -555,7 +549,9 @@ ROWS: List[Row] = [
         stderr=b"swhid: range starts at line 5 but content has 4 line(s)\n", fixture=small),
     row("extract-lines-no-verify", f"extract-lines --no-verify '{A_ID};lines=1' lines.txt", 0,
         b"alpha\n", fixture=small),
-    # The one mismatch row, through a pipe: a file's bytes are read and checked the same way.
+    row("extract-lines-mismatch-file", f"extract-lines '{cnt(ABC)};lines=2' lines.txt", 1,
+        stderr=f"swhid: lines.txt hashes to {cnt(LINES)[10:]}, expected {cnt(ABC)[10:]}\n".encode(),
+        fixture=small),
     row("extract-lines-mismatch", f"extract-lines '{cnt(ABC)};lines=2' /dev/stdin", 1,
         stderr=f"swhid: /dev/stdin hashes to {cnt(ABC.upper())[10:]},"
         f" expected {cnt(ABC)[10:]}\n".encode(), stdin=ABC.upper()),

@@ -43,7 +43,6 @@ import io
 import json
 import os
 import random
-import re
 import shutil
 import subprocess
 import sys
@@ -64,8 +63,6 @@ from mockarchive import MockArchive  # noqa: E402
 from swhid.ingest import ingest_path  # noqa: E402
 
 EXCLUDE = ["--exclude", "*.tmp"]
-# A traceback's frame lines, each with the source lines indented below it.
-FRAMES = re.compile(rb"^  (?:File .*|\[Previous line repeated \d+ more times\])\n(?:    .*\n)*", re.M)
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -107,16 +104,6 @@ def seeded(tree: gen.Tree):
     return fixture
 
 
-def side(src: Path, argv, env, stdin, cwd: Path) -> Outcome:
-    """contract.child's outcome, any traceback in it without its frames.
-
-    The frames name each side's own source file and line, which differ
-    whenever the source does.
-    """
-    code, stdout, stderr = child(src, argv, env, stdin, cwd)
-    return code, stdout, FRAMES.sub(b"", stderr)
-
-
 def compare_row(row: Row, root: Path, sides: Sequence[Path], archive=None, defaults=None):
     """row's outcome on each side, in root, which row's fixture fills once."""
     root.mkdir()
@@ -128,7 +115,7 @@ def compare_row(row: Row, root: Path, sides: Sequence[Path], archive=None, defau
         if row.archive is not None:
             serve(archive, row.archive, defaults)
             endpoint = archive.endpoint
-        outcomes.append(run(row, root, endpoint, functools.partial(side, src, cwd=root)))
+        outcomes.append(run(row, root, endpoint, functools.partial(child, src, cwd=root)))
     return outcomes
 
 
@@ -253,7 +240,7 @@ def compare(
         ]
 
         def both(args):  # a verify case's outcome on each side
-            return [side(src, args, {}, None, work_dir) for src in sides]
+            return [child(src, args, {}, None, work_dir) for src in sides]
 
         for name in trees:
             cases = verify_cases(work_dir, name, f"{name}-changed")

@@ -93,6 +93,20 @@ def _no_backoff(monkeypatch):
         monkeypatch.setattr(swhid.resolve, name, no_wait)
 
 
+def _check(row, root, endpoint, execute):
+    code, stdout, stderr = contract.run(row, root, endpoint, execute)
+    assert code == row.code, stderr
+    for data, expected in ((stdout, row.stdout), (stderr, row.stderr)):
+        if callable(expected):
+            assert expected(data, root), f"{expected.__name__}: {data!r}"
+        else:
+            assert data == contract.substitute(expected, root, endpoint)
+
+
+def _child(root):
+    return functools.partial(contract.child, SRC, cwd=root)
+
+
 @pytest.mark.parametrize("row", contract.ROWS, ids=lambda row: row.id)
 def test_contract_row(row, tmp_path, monkeypatch, request):
     endpoint = None
@@ -103,8 +117,7 @@ def test_contract_row(row, tmp_path, monkeypatch, request):
     if row.fixture is not None:
         row.fixture(tmp_path)
     if row.in_child:
-        def execute(argv, env, stdin):
-            return contract.child(SRC, argv, env, stdin, tmp_path)
+        execute = _child(tmp_path)
     else:
         monkeypatch.chdir(tmp_path)
         _no_backoff(monkeypatch)
@@ -115,14 +128,27 @@ def test_contract_row(row, tmp_path, monkeypatch, request):
                 raise result.exception
             return result.exit_code, result.stdout_bytes, result.stderr_bytes
 
-    code, stdout, stderr = contract.run(row, tmp_path, endpoint, execute)
-    assert code == row.code, stderr
-    argv = [contract.substitute(arg, tmp_path, endpoint) for arg in row.argv]
-    for data, expected in ((stdout, row.stdout), (stderr, row.stderr)):
-        if callable(expected):
-            assert expected(data, argv, tmp_path), f"{expected.__name__}: {data!r}"
-        else:
-            assert data == contract.substitute(expected, tmp_path, endpoint)
+    _check(row, tmp_path, endpoint, execute)
+
+
+# Argv forms that a real process parses: no command, unknown ones, --version,
+# paths around options and "--", and the line number past int()'s digit limit.
+ARGV_FORMS = {
+    "no-command", "unknown-command", "unknown-option", "version", "identify-no-path",
+    "identify-jobs-0", "identify-jobs-x", "identify-abbreviated", "identify-type-x",
+    "resolve-resolver-x", "identify-paths-after-options", "identify-paths-after-dashes",
+    "identify-dash-path", "identify-dash-path-last", "identify-dashes-after-paths",
+    "identify-jobs-2", "parse-huge-line-number",
+}
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in contract.ROWS if row.id in ARGV_FORMS], ids=lambda row: row.id
+)
+def test_contract_row_in_a_child(row, tmp_path):
+    if row.fixture is not None:
+        row.fixture(tmp_path)
+    _check(row, tmp_path, None, _child(tmp_path))
 
 
 def test_contract_has_rows_of_every_command_and_exit_code():
@@ -135,6 +161,8 @@ def test_contract_has_rows_of_every_command_and_exit_code():
     assert codes == {0, 1, 2, 3}
     assert codes <= {row.code for row in contract.ROWS}
     assert len({row.id for row in contract.ROWS}) == len(contract.ROWS)
+    assert ARGV_FORMS <= {row.id for row in contract.ROWS}
+
 
 # Names with bytes that JSON escapes, a tab, a space, non-UTF-8 bytes and a
 # non-ASCII letter; scandir never yields "." or "..".
