@@ -33,11 +33,16 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_HEX_RE = re.compile(r"\A[0-9a-fA-F]{40}\Z")
-_LINES_RE = re.compile(r"\A([0-9]+)(?:-([0-9]+))?\Z")
-_SCHEME_RE = re.compile(r"\A[A-Za-z][A-Za-z0-9+.\-]*:")
+# Each rule's pattern, written once for the per-field checks and the canonical form.
+_HEX = "0-9a-f"  # a lowercase hex digit, as the body of a character class
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
 # In a str pattern \s matches exactly the characters str.isspace() accepts.
-_ORIGIN_FORBIDDEN_RE = re.compile(r"[\s\x00-\x1f\x7f]")
+_ORIGIN_FORBIDDEN = r"\s\x00-\x1f\x7f"
+_RANGE = r"({0})(?:-({0}))?"  # a line number, or two joined by '-'
+_HEX_RE = re.compile(rf"\A[{_HEX}A-F]{{40}}\Z")
+_LINES_RE = re.compile(rf"\A{_RANGE.format('[0-9]+')}\Z")
+_SCHEME_RE = re.compile(rf"\A{_SCHEME}")
+_ORIGIN_FORBIDDEN_RE = re.compile(f"[{_ORIGIN_FORBIDDEN}]")
 # Version, type and id; a group is None where the identifier is truncated.
 _CORE_RE = re.compile(r"swh:([^:]*)(?::([^:]*)(?::([^;]*))?)?")
 
@@ -48,7 +53,8 @@ class _Value:
     """Base of the frozen value types, whose fields are their __slots__.
 
     Equal only within one class, and then by fields; hashed by fields; set
-    once by each class's own __init__; copied and pickled by calling it.
+    once by each class's own __init__, or through _setters by a builder that
+    checked the fields itself; copied and pickled by calling the class.
     """
 
     __slots__ = ()
@@ -59,6 +65,8 @@ class _Value:
             cls._fields = cls.__slots__
             # One C call per comparison or hash, not a Python loop over the fields.
             cls._key = attrgetter(*cls.__slots__)
+            # Each slot's own setter, which skips __setattr__ below, for a value built unchecked.
+            cls._setters = [getattr(cls, name).__set__ for name in cls.__slots__]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -106,6 +114,12 @@ class ObjectType(enum.Enum):
 # Each member by its identifier tag (as the scanner reads it) and by its long name.
 _TAGS = {member.value: member for member in ObjectType}
 _LONG_NAMES = {member.long_name: member for member in ObjectType}
+# The canonical form, clean in either mode; its line numbers fit any int() digit limit.
+_CANONICAL_RE = re.compile(
+    rf"swh:{SCHEMA_VERSION}:({'|'.join(_TAGS)}):([{_HEX}]{{40}})"
+    rf"(?:;origin=({_SCHEME}[^;{_ORIGIN_FORBIDDEN}]*))?"
+    rf"(?:;lines={_RANGE.format('[1-9][0-9]{0,17}')})?\Z"
+)
 
 
 class ObjectId(_Value):
@@ -147,10 +161,7 @@ class CoreSwhid(_Value):
         _setattr(self, "schema_version", schema_version)
 
     def __str__(self) -> str:
-        return (
-            f"swh:{self.schema_version}:"
-            f"{self.object_type.value}:{self.object_id.hex}"
-        )
+        return f"swh:{self.schema_version}:{self.object_type.value}:{self.object_id.raw.hex()}"
 
 
 class LineRange(_Value):
@@ -215,12 +226,12 @@ class QualifiedSwhid(_Value):
 
     def __str__(self) -> str:
         # Canonical emission order: origin before lines.
-        parts = [str(self.core)]
+        text = str(self.core)
         if self.origin is not None:
-            parts.append(f"origin={self.origin}")
+            text = f"{text};origin={self.origin}"
         if self.lines is not None:
-            parts.append(f"lines={self.lines}")
-        return ";".join(parts)
+            text = f"{text};lines={self.lines}"
+        return text
 
 
 class DiagnosticKind(enum.Enum):
@@ -291,7 +302,7 @@ def _line_number(digits: str) -> int:
     return int(digits.lstrip("0") or "0")
 
 
-def _lines(value: str) -> LineRange:
+def _lines(value: str) -> "tuple[int, Optional[int]]":
     match = _LINES_RE.match(value)
     if not match:
         raise _Invalid(DiagnosticKind.BAD_QUALIFIER, f"malformed line range {value!r}")
@@ -301,13 +312,41 @@ def _lines(value: str) -> LineRange:
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
         raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, "line number is too large") from None
     try:
-        return LineRange(*bounds)
+        LineRange(*bounds)  # for its checks alone: the value is built from the bounds
     except ValueError as exc:
         raise _Invalid(DiagnosticKind.BAD_LINE_RANGE, str(exc)) from None
+    return bounds
 
 
 # Each known qualifier's checker, in canonical order; keys are QualifiedSwhid fields.
 _QUALIFIERS = {"origin": _origin, "lines": _lines}
+
+
+_new = object.__new__
+(_set_raw,) = ObjectId._setters
+_set_object_type, _set_object_id, _set_schema_version = CoreSwhid._setters
+_set_start, _set_end = LineRange._setters
+_set_core, _set_origin, _set_lines = QualifiedSwhid._setters
+
+
+def _accept(object_type, hex_digits: str, origin, bounds) -> QualifiedSwhid:
+    """The value of fields that are checked already, so no constructor checks them again."""
+    object_id = _new(ObjectId)
+    _set_raw(object_id, bytes.fromhex(hex_digits))
+    core = _new(CoreSwhid)
+    _set_object_type(core, object_type)
+    _set_object_id(core, object_id)
+    _set_schema_version(core, SCHEMA_VERSION)
+    lines = None
+    if bounds is not None:
+        lines = _new(LineRange)
+        _set_start(lines, bounds[0])
+        _set_end(lines, bounds[1])
+    value = _new(QualifiedSwhid)
+    _set_core(value, core)
+    _set_origin(value, origin)
+    _set_lines(value, lines)
+    return value
 
 
 def _add(diags: list, text: str, at: int, kind: DiagnosticKind, message: str) -> None:
@@ -317,6 +356,14 @@ def _add(diags: list, text: str, at: int, kind: DiagnosticKind, message: str) ->
 
 def _scan(text: str, permissive: bool, build: bool) -> "tuple[Optional[QualifiedSwhid], list]":
     """Single-pass scanner shared by parse() and validate(); only parse() has it build a value."""
+    # Text in the canonical form is accepted by one match. Other text, and a range in that
+    # form whose end is below its start, is scanned field by field: only the scanner reports.
+    canonical = _CANONICAL_RE.match(text)
+    if canonical is not None:
+        tag, hex_digits, origin, start, end = canonical.groups()
+        bounds = None if start is None else (int(start), None if end is None else int(end))
+        if end is None or bounds[1] >= bounds[0]:
+            return (_accept(_TAGS[tag], hex_digits, origin, bounds) if build else None), []
     diags: list[ParseDiagnostic] = []
     core = _CORE_RE.match(text)
     if core is None:
@@ -380,14 +427,7 @@ def _scan(text: str, permissive: bool, build: bool) -> "tuple[Optional[Qualified
 
     if not build or (diags and any(not d.is_warning for d in diags)):
         return None, diags
-    # Every field was checked above, so the id and the value skip their constructors' checks.
-    object_id = object.__new__(ObjectId)
-    _setattr(object_id, "raw", bytes.fromhex(hex_part))
-    value = object.__new__(QualifiedSwhid)
-    _setattr(value, "core", CoreSwhid(object_type, object_id))
-    _setattr(value, "origin", found.get("origin"))
-    _setattr(value, "lines", found.get("lines"))
-    return value, diags
+    return _accept(object_type, hex_part, found.get("origin"), found.get("lines")), diags
 
 
 def parse(text: str, permissive: bool = False) -> QualifiedSwhid:

@@ -5,6 +5,9 @@ each, with fields that describe_nodes accepts unless a keyword changes or
 drops one (DROP), and person() gives a person's two fields; doc() writes
 the entries as a document. BUILT is a small document of every kind, and
 mutate() gives a copy of a document's entries with one of MUTATIONS.
+Identifier texts: IDENTIFIERS holds a short list that gives every
+DiagnosticKind, and edit() gives a copy of a text with one character
+inserted, deleted or replaced, or cut short.
 Test trees: write_tree() writes a node tuple to disk, such as ODD_NAMES, a
 small tree of names that are not UTF-8 or that JSON escapes. Exports:
 export_object() writes an export of one object file, and trees_only() an
@@ -167,6 +170,44 @@ def mutate(entries: list, mutation: str, rng: random.Random) -> list:
             path = rng.choice(_slots(one))
             _at(one, path[:-1])[path[-1]] = "label:" + other["label"]
     return document
+
+
+HEX = "94a9ed024d3859793618152ea559a168bbcbb5e2"
+# Canonical ids of each type and qualifier, ids that give every
+# DiagnosticKind (unknown-qualifier in permissive mode), and accepted ids
+# that are not canonical.
+IDENTIFIERS = (
+    f"swh:1:cnt:{HEX}",
+    f"swh:1:dir:{HEX}",
+    f"swh:1:rev:{HEX};origin=https://a.org/r.git",
+    f"swh:1:rel:{HEX};lines=7",
+    f"swh:1:snp:{HEX};origin=a:;lines=5-12",
+    "SWH:1:cnt:" + HEX,
+    "swh:2:cnt:" + HEX.upper(),
+    "swh:1:xyz:" + HEX[:12],
+    f"swh:1:cnt:{HEX};origin=https://a.org;lines=9-4",
+    f"swh:1:cnt:{HEX};lines=0",
+    f"swh:1:cnt:{HEX};lines=3;origin=https://é.org",
+    f"swh:1:cnt:{HEX};color=red",
+    f"swh:1:cnt:{HEX};lines=07-1" + "0" * 18,
+)
+# What edit() inserts or puts in place of a character: separators, digits
+# and hex of each case, whitespace (ASCII, NEL, newline), a non-ASCII digit,
+# a two-byte letter and a lone surrogate.
+EDIT_CHARS = ":;=-/0179aAfFgG \n\x85\u0661\u00e9\udce9"
+
+
+def edit(text: str, rng: random.Random) -> str:
+    """text with one character inserted, deleted or replaced, or cut short, at random."""
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[:at] + rng.choice(EDIT_CHARS) + text[at:]
+    if kind == 1:
+        return text[:at] + text[at + 1:]
+    if kind == 2:
+        return text[:at] + rng.choice(EDIT_CHARS) + text[at + 1:]
+    return text[:at]
 
 
 # What a true junk flag adds to a directory: a file and a directory that

@@ -1,4 +1,4 @@
-"""Compare this checkout's CLI children and description realization with another revision's.
+"""Compare this checkout's CLI children, realization and syntax with another revision's.
 
     python tests/differential.py --rev REV [--seeds 1,2]
 
@@ -30,6 +30,14 @@ of each seed's perfbench history document, and of mutated copies of them
 history document. The outcome is each id's text, or the exception's class
 name and text, location included.
 
+syntax: in this process too, parse, validate and format_swhid of
+builders.IDENTIFIERS, of 2 000 seeded one-character edits of them
+(builders.edit), and of the first 20 000 ids of each seed's perfbench
+identifier corpus with an edited copy of each, in strict and permissive
+mode. The outcome is the repr and text of parse's value and format_swhid's
+text, or the exception's class name, text and diagnostic; and the repr of
+validate's list.
+
 The script prints how many cases it compared per surface and the first
 differences, and exits 1 if there is any.
 """
@@ -57,7 +65,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))  # for the mock archive's ids and the exports
 import gen  # noqa: E402
 import swhid  # noqa: E402
-from builders import BUILT, MUTATIONS, ODD_NAMES, doc, mutate, trees_only, write_tree  # noqa: E402
+from builders import (  # noqa: E402
+    BUILT, IDENTIFIERS, MUTATIONS, ODD_NAMES, doc, edit, mutate, trees_only, write_tree,
+)
 from contract import ROWS, SETTINGS, Outcome, Row, child, odd, run, serve  # noqa: E402
 from mockarchive import MockArchive  # noqa: E402
 from swhid.ingest import ingest_path  # noqa: E402
@@ -186,9 +196,8 @@ def realized(package, document: bytes):
         return type(exc).__name__, str(exc)
 
 
-def compare_documents(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List[str]]:
-    """(documents compared, a description of each difference) against parent_src's package."""
-    parent = import_parent(parent_src)
+def compare_documents(parent, seeds: Sequence[int]) -> Tuple[int, List[str]]:
+    """(documents compared, a description of each difference) against the package parent."""
     compared, differences = 0, []
     for name, document in documents(seeds):
         ours, theirs = realized(swhid, document), realized(parent, document)
@@ -196,6 +205,45 @@ def compare_documents(parent_src: Path, seeds: Sequence[int]) -> Tuple[int, List
         if ours != theirs:
             lines = f"documents {name}:\n  parent: {theirs!r:.300}\n  this:   {ours!r:.300}"
             differences.append(lines)
+    return compared, differences
+
+
+def identifiers(seeds: Sequence[int]) -> Iterator[str]:
+    """builders.IDENTIFIERS, edits of them, and each seed's corpus ids with an edit of each."""
+    yield from IDENTIFIERS
+    rng = random.Random(0)
+    for number in range(2000):
+        yield edit(IDENTIFIERS[number % len(IDENTIFIERS)], rng)
+    for seed in seeds:
+        texts = gen.corpus(seed).texts[:20_000]
+        rng = random.Random(seed)
+        yield from texts
+        yield from (edit(text, rng) for text in texts)
+
+
+def checked(package, text: str, permissive: bool):
+    """What package's parse, format_swhid and validate make of text, as text."""
+    try:
+        value = package.parse(text, permissive=permissive)
+        parsed = repr(value), str(value), package.format_swhid(value)
+    except Exception as exc:  # a crash is an outcome to compare too
+        parsed = type(exc).__name__, str(exc), repr(getattr(exc, "diagnostic", None))
+    try:
+        return parsed, repr(package.validate(text, permissive=permissive))
+    except Exception as exc:
+        return parsed, (type(exc).__name__, str(exc))
+
+
+def compare_syntax(parent, seeds: Sequence[int]) -> Tuple[int, List[str]]:
+    """(texts compared, a description of each difference) against the package parent."""
+    compared, differences = 0, []
+    for text in identifiers(seeds):
+        compared += 1
+        for permissive in (False, True):
+            ours, theirs = checked(swhid, text, permissive), checked(parent, text, permissive)
+            if ours != theirs:
+                lines = f"syntax {text!r:.100} permissive={permissive}:\n  parent: {theirs!r:.300}"
+                differences.append(f"{lines}\n  this:   {ours!r:.300}")
     return compared, differences
 
 
@@ -208,7 +256,7 @@ def compare(
     """
     sides = (parent_src, ROOT / "src")
     differences: List[str] = []
-    counts = {"contract": 0, "verify": 0, "documents": 0}
+    counts = {"contract": 0, "verify": 0, "documents": 0, "syntax": 0}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(3) as pool:
         work_dir = Path(work)
         write_tree(os.fsencode(work_dir / "odd"), ODD_NAMES)
@@ -245,7 +293,10 @@ def compare(
         for name in trees:
             cases = verify_cases(work_dir, name, f"{name}-changed")
             pending += [("verify", " ".join(args[1:]), pool.submit(both, args)) for args in cases]
-        counts["documents"], differences = compare_documents(parent_src, seeds)
+        parent = import_parent(parent_src)
+        counts["documents"], differences = compare_documents(parent, seeds)
+        counts["syntax"], found = compare_syntax(parent, seeds)
+        differences += found
         results = [(surface, label, job.result()) for surface, label, job in pending]
         results += [("contract", rows[i].id, pair) for i, pair in zip(served, served_job.result())]
         for surface, label, (theirs, ours) in results:

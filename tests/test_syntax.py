@@ -14,7 +14,6 @@ from swhid.syntax import (
     SwhidParseError,
     format_swhid,
     parse,
-    _origin_problem,
     validate,
 )
 
@@ -231,7 +230,7 @@ def test_line_range_invariants():
 
 def test_origin_constructor_validation():
     core = CoreSwhid(ObjectType.CONTENT, ObjectId.from_hex(HEX))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^origin URL may not contain ';'$"):
         QualifiedSwhid(core=core, origin="https://a.org/x;y")
     with pytest.raises(ValueError):
         QualifiedSwhid(core=core, origin="no-scheme.org/x")
@@ -420,6 +419,13 @@ DIAGNOSTIC_ROWS = [
     (P + ";origin==https://a.org", [(51, "bad-qualifier", "origin URL lacks a scheme")], None),
     (P + ";origin=https://a.org/a b", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
     (P + ";origin=https://a.org/\x7f", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
+    # The shortest origin, and a scheme in capitals.
+    (P + ";origin=a:", [], P + ";origin=a:"),
+    (P + ";origin=HTTPS://x", [], P + ";origin=HTTPS://x"),
+    # A trailing newline is no part of a canonical form, after any field.
+    (P + "\n", [(10, "bad-hex", "object id must be 40 hex digits, got 41")], None),
+    (P + ";origin=https://a.org\n", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
+    (P + ";lines=3\n", [(51, "bad-qualifier", "malformed line range '3\\n'")], None),
     (P + ";origin=https://a.org/ ", [(51, "bad-qualifier", ORIGIN_BAD_CHAR)], None),
     (
         P + ";origin=https://a.org;origin=https://b.org",
@@ -458,11 +464,21 @@ DIAGNOSTIC_ROWS = [
     (P + ";lines=a-b", [(51, "bad-qualifier", "malformed line range 'a-b'")], None),
     (P + ";lines=4-5-6", [(51, "bad-qualifier", "malformed line range '4-5-6'")], None),
     (P + ";lines=٤", [(51, "bad-qualifier", "malformed line range '٤'")], None),
+    (P + ";lines=١", [(51, "bad-qualifier", "malformed line range '١'")], None),
     (P + ";lines=0", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
     (P + ";lines=0-4", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
     (P + ";lines=5-0", [(51, "bad-line-range", "line numbers are 1-indexed")], None),
     (P + ";lines=9-4", [(51, "bad-line-range", "line range end 4 precedes start 9")], None),
+    (
+        P + ";origin=https://a.org;lines=5-3",
+        [(72, "bad-line-range", "line range end 3 precedes start 5")],
+        None,
+    ),
     (P + ";lines=007-007", [], P + ";lines=7-7"),
+    (P + ";lines=07", [], P + ";lines=7"),
+    # Up to 18 digits the canonical form takes a line number; past that the scanner does.
+    (P + ";lines=" + "9" * 18, [], P + ";lines=" + "9" * 18),
+    (P + ";lines=1-" + "9" * 19, [], P + ";lines=1-" + "9" * 19),
 ]
 
 # Rows whose result depends on the mode: (text, permissive, diagnostics, canonical).
@@ -563,14 +579,17 @@ def test_line_range_end_below_one_is_not_an_order_error():
 
 def test_origin_rule_over_every_code_point():
     # The oracle is the rule as written out: whitespace by str.isspace(), a C0
-    # control or DEL; ';' has a message of its own.
+    # control or DEL; in an identifier ';' ends the origin, here leaving an
+    # empty qualifier. Through validate() it holds both encodings of the rule:
+    # the canonical form matches each accepted character, and the scanner
+    # reports each refused one.
     for code in range(0x110000):
         char = chr(code)
-        problem = _origin_problem(f"https://a.org/{char}")
+        found = validate(f"{P};origin=https://a.org/{char}")
         if char == ";":
-            expected = "origin URL may not contain ';'"
+            expected = ["empty qualifier"]
         elif char.isspace() or code < 0x20 or code == 0x7F:
-            expected = "origin URL may not contain whitespace or control characters"
+            expected = [ORIGIN_BAD_CHAR]
         else:
-            expected = None
-        assert problem == expected, hex(code)
+            expected = []
+        assert [d.message for d in found] == expected, hex(code)
